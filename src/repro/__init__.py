@@ -18,59 +18,73 @@ Quickstart::
     print(result.avg_latency, result.throughput)
 """
 
-from .analysis import (
-    LargeScaleModel,
-    SweepResult,
-    compare_networks,
-    format_table,
-    geometric_mean,
-    relative_improvement,
-    sweep_loads,
-)
-from .core import (
-    SlimNoC,
-    SlimNoCConfig,
-    enumerate_configurations,
-    mms_graph,
-    sn_large,
-    sn_power_of_two,
-    sn_small,
-)
-from .engine import (
-    ExperimentEngine,
-    ExperimentSpec,
-    ResultCache,
-    default_engine,
-)
-from .fields import FiniteField, finite_field
-from .power import (
-    TECH_22NM,
-    TECH_45NM,
-    EnergyMetrics,
-    dynamic_power,
-    make_metrics,
-    network_area,
-    static_power,
-)
-from .routing import (
-    DimensionOrderRouting,
-    StaticMinimalRouting,
-    UGALRouting,
-    default_routing,
-)
-from .sim import BUFFERING_STRATEGIES, NoCSimulator, SimConfig, SimResult, cbr
-from .topos import (
-    ConcentratedMesh,
-    Dragonfly,
-    FlattenedButterfly,
-    FoldedClos,
-    PartitionedFBF,
-    Topology,
-    Torus2D,
-    cycle_time_ns,
-    make_network,
-)
-from .traffic import SyntheticSource, WorkloadSource, workload_names
+from ._lazy import lazy_exports
+
+#: Public name -> defining submodule, grouped by submodule; resolved on
+#: first access (see :mod:`repro._lazy`).
+_EXPORTS = {
+    ".analysis": (
+        "LargeScaleModel",
+        "SweepResult",
+        "compare_networks",
+        "format_table",
+        "geometric_mean",
+        "relative_improvement",
+        "sweep_loads",
+    ),
+    ".core": (
+        "SlimNoC",
+        "SlimNoCConfig",
+        "enumerate_configurations",
+        "mms_graph",
+        "sn_large",
+        "sn_power_of_two",
+        "sn_small",
+    ),
+    ".engine": (
+        "ExperimentEngine",
+        "ExperimentSpec",
+        "ResultCache",
+        "default_engine",
+    ),
+    ".fields": ("FiniteField", "finite_field"),
+    ".power": (
+        "TECH_22NM",
+        "TECH_45NM",
+        "EnergyMetrics",
+        "dynamic_power",
+        "make_metrics",
+        "network_area",
+        "static_power",
+    ),
+    ".routing": (
+        "DimensionOrderRouting",
+        "StaticMinimalRouting",
+        "UGALRouting",
+        "default_routing",
+    ),
+    ".sim": (
+        "BUFFERING_STRATEGIES",
+        "NoCSimulator",
+        "SimConfig",
+        "SimResult",
+        "cbr",
+    ),
+    ".topos": (
+        "ConcentratedMesh",
+        "Dragonfly",
+        "FlattenedButterfly",
+        "FoldedClos",
+        "PartitionedFBF",
+        "Topology",
+        "Torus2D",
+        "cycle_time_ns",
+        "make_network",
+    ),
+    ".traffic": ("SyntheticSource", "WorkloadSource", "workload_names"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 

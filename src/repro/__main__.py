@@ -95,6 +95,7 @@ import signal
 import sys
 import threading
 import time
+from typing import TYPE_CHECKING
 
 from .analysis import format_table
 from .engine import (
@@ -102,14 +103,11 @@ from .engine import (
     EXECUTORS,
     ROUTING_BUILDERS,
     ExperimentEngine,
-    QueueClient,
-    QueueWorker,
     RemoteStoreError,
     ResultCache,
     build_sweep_specs,
     build_workload_specs,
     estimate_campaign_seconds,
-    jobs_for_specs,
     run_compare,
     run_sweep,
     shard_specs,
@@ -126,6 +124,9 @@ from .power import TECH_45NM, network_area, static_power
 from .sim import BUFFERING_STRATEGIES, NoCSimulator, SimConfig
 from .topos import catalog_symbols
 from .traffic import SyntheticSource, workload_names
+
+if TYPE_CHECKING:
+    from .engine import QueueClient
 
 _log = get_logger("cli")
 
@@ -952,6 +953,8 @@ def _sweep_queued(
     groups, node_counts, symbols = _synthetic_grid(
         args, config, [args.network], patterns
     )
+    from .engine import QueueClient, jobs_for_specs
+
     specs = [spec for group in groups for spec in group]
     jobs = jobs_for_specs(specs, node_counts, default_calibration())
     client = QueueClient(url)
@@ -1373,6 +1376,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_work(args: argparse.Namespace) -> int:
+    from .engine import QueueWorker
+
     worker = QueueWorker(
         args.url,
         worker_id=args.worker_id,

@@ -1,17 +1,25 @@
 """Analysis harness: sweeps, workload campaigns, large-N models, metrics."""
 
-from .adaptive import AdaptiveStudyResult, adaptive_study
-from .largescale import LargeScaleModel, model_curves
-from .metrics import format_table, geometric_mean, relative_improvement
-from .resilience import ResilienceReport, degrade, resilience_curve
-from .sweep import SweepPoint, SweepResult, compare_networks, sweep_loads
-from .workloads import (
-    WorkloadRow,
-    edp_gain,
-    edp_table,
-    smart_latency_gains,
-    workload_table,
-)
+from .._lazy import lazy_exports
+
+#: Public name -> defining submodule, grouped by submodule; resolved on
+#: first access (see :mod:`repro._lazy`).
+_EXPORTS = {
+    ".adaptive": ("AdaptiveStudyResult", "adaptive_study"),
+    ".largescale": ("LargeScaleModel", "model_curves"),
+    ".metrics": ("format_table", "geometric_mean", "relative_improvement"),
+    ".resilience": ("ResilienceReport", "degrade", "resilience_curve"),
+    ".sweep": ("SweepPoint", "SweepResult", "compare_networks", "sweep_loads"),
+    ".workloads": (
+        "WorkloadRow",
+        "edp_gain",
+        "edp_table",
+        "smart_latency_gains",
+        "workload_table",
+    ),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "AdaptiveStudyResult",

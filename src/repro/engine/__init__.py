@@ -64,63 +64,77 @@ Re-running any form performs zero new simulations: every point is
 served from the cache.
 """
 
-from .campaign import (
-    SHARD_BALANCE_MODES,
-    assemble_curve,
-    build_sweep_specs,
-    build_workload_specs,
-    estimate_campaign_seconds,
-    run_compare,
-    run_sweep,
-    shard_specs,
-    traffic_for_token,
-    workload_compare,
-)
-from .queue import JobQueue, QueueClient, QueueJob, jobs_for_specs
-from .runner import EXECUTOR_ENV, EXECUTORS, ExperimentEngine, RunStats, default_engine
-from .spec import (
-    LIVE_SPEC_VERSIONS,
-    ROUTING_BUILDERS,
-    SPEC_VERSION,
-    BurstTraffic,
-    ExperimentSpec,
-    HotspotTraffic,
-    SyntheticTraffic,
-    TransientTraffic,
-    WorkloadTraffic,
-    build_routing,
-    iter_spec_keys,
-    predicted_cost,
-    resolve_topology,
-    shard_for_key,
-    spec_load,
-    topology_fingerprint,
-    topology_token,
-    traffic_from_dict,
-)
-from .store import (
-    SCHEMA_VERSION,
-    TOKEN_ENV,
-    CacheBackend,
-    CacheStats,
-    FaultyBackend,
-    GCReport,
-    InjectedFault,
-    LocalDirStore,
-    MergeReport,
-    ObjectStore,
-    ObjectStoreError,
-    RemoteAuthError,
-    RemoteStore,
-    RemoteStoreError,
-    ResultCache,
-    SqlitePackStore,
-    StoreServer,
-    default_cache_dir,
-    merge_stores,
-    open_backend,
-)
-from .worker import QueueWorker, WorkerStats, default_worker_id
+from .._lazy import lazy_exports
+
+#: Public name -> defining submodule, grouped by submodule; resolved on
+#: first access (see :mod:`repro._lazy`).
+_EXPORTS = {
+    ".campaign": (
+        "SHARD_BALANCE_MODES",
+        "assemble_curve",
+        "build_sweep_specs",
+        "build_workload_specs",
+        "estimate_campaign_seconds",
+        "run_compare",
+        "run_sweep",
+        "shard_specs",
+        "traffic_for_token",
+        "workload_compare",
+    ),
+    ".queue": ("JobQueue", "QueueClient", "QueueJob", "jobs_for_specs"),
+    ".runner": (
+        "EXECUTOR_ENV",
+        "EXECUTORS",
+        "ExperimentEngine",
+        "RunStats",
+        "default_engine",
+    ),
+    ".spec": (
+        "LIVE_SPEC_VERSIONS",
+        "ROUTING_BUILDERS",
+        "SPEC_VERSION",
+        "BurstTraffic",
+        "ExperimentSpec",
+        "HotspotTraffic",
+        "SyntheticTraffic",
+        "TransientTraffic",
+        "WorkloadTraffic",
+        "build_routing",
+        "iter_spec_keys",
+        "predicted_cost",
+        "resolve_topology",
+        "shard_for_key",
+        "spec_load",
+        "topology_fingerprint",
+        "topology_token",
+        "traffic_from_dict",
+    ),
+    ".store": (
+        "SCHEMA_VERSION",
+        "TOKEN_ENV",
+        "CacheBackend",
+        "CacheStats",
+        "FaultyBackend",
+        "GCReport",
+        "InjectedFault",
+        "LocalDirStore",
+        "MergeReport",
+        "ObjectStore",
+        "ObjectStoreError",
+        "RemoteAuthError",
+        "RemoteStore",
+        "RemoteStoreError",
+        "ResultCache",
+        "SqlitePackStore",
+        "StoreServer",
+        "default_cache_dir",
+        "merge_stores",
+        "open_backend",
+    ),
+    ".worker": ("QueueWorker", "WorkerStats", "default_worker_id"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ExperimentSpec",

@@ -42,9 +42,9 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..obs import CostCalibration
 from ..obs.metrics import ENGINE_SPEC_SECONDS, ENGINE_SPECS, span
@@ -52,6 +52,9 @@ from ..sim import SimResult
 from ..topos.base import Topology
 from .spec import FINGERPRINT_PREFIX, ExperimentSpec, resolve_topology, spec_load
 from .store import ResultCache
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: progress(done, total, spec, from_cache) — invoked once per unique spec.
 ProgressFn = Callable[[int, int, ExperimentSpec, bool], None]
@@ -211,6 +214,8 @@ class ExperimentEngine:
         campaigns don't pay process startup once per batch — and fully
         cached runs never pay it at all."""
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
         return self._pool
 

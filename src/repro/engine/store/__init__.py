@@ -47,54 +47,62 @@ operation ever materializes a full key set — the property that lets a
 campaign cache grow past one process's memory.
 """
 
-from .base import (
-    BACKEND_ENV,
-    CACHE_DIR_ENV,
-    DEFAULT_CACHE_DIR,
-    DEFAULT_KEY_BATCH,
-    MAX_BYTES_ENV,
-    PACK_SUFFIXES,
-    REMOTE_PREFIXES,
-    SCHEME_REGISTRY,
-    SCHEMA_VERSION,
-    CacheBackend,
-    CacheStats,
-    GCReport,
-    MergeReport,
-    RawEntry,
-    default_cache_dir,
-    encode_entry,
-    entry_is_unreachable,
-    iter_all_keys,
-    iter_key_pages,
-    merge_stores,
-    open_backend,
-)
-from .fakebucket import FakeBucketServer
-from .faulty import DEFAULT_FAILABLE_OPS, FaultyBackend, InjectedFault
-from .frontend import ResultCache
-from .http import (
-    DEFAULT_PORT,
-    PROTOCOL_VERSION,
-    TOKEN_ENV,
-    RemoteAuthError,
-    RemoteStore,
-    RemoteStoreError,
-    StoreServer,
-)
-from .localdir import LocalDirStore
-from .objectstore import (
-    DEFAULT_FANOUT,
-    ENDPOINT_ENV,
-    Boto3Transport,
-    HTTPTransport,
-    MemoryTransport,
-    ObjectStore,
-    ObjectStoreError,
-    ObjectTransport,
-    open_object_store,
-)
-from .sqlite import SqlitePackStore
+from ..._lazy import lazy_exports
+
+#: Public name -> defining submodule, grouped by submodule; resolved on
+#: first access (see :mod:`repro._lazy`).
+_EXPORTS = {
+    ".base": (
+        "BACKEND_ENV",
+        "CACHE_DIR_ENV",
+        "DEFAULT_CACHE_DIR",
+        "DEFAULT_KEY_BATCH",
+        "MAX_BYTES_ENV",
+        "PACK_SUFFIXES",
+        "REMOTE_PREFIXES",
+        "SCHEME_REGISTRY",
+        "SCHEMA_VERSION",
+        "CacheBackend",
+        "CacheStats",
+        "GCReport",
+        "MergeReport",
+        "RawEntry",
+        "RemoteAuthError",
+        "RemoteStoreError",
+        "default_cache_dir",
+        "encode_entry",
+        "entry_is_unreachable",
+        "iter_all_keys",
+        "iter_key_pages",
+        "merge_stores",
+        "open_backend",
+    ),
+    ".fakebucket": ("FakeBucketServer",),
+    ".faulty": ("DEFAULT_FAILABLE_OPS", "FaultyBackend", "InjectedFault"),
+    ".frontend": ("ResultCache",),
+    ".http": (
+        "DEFAULT_PORT",
+        "PROTOCOL_VERSION",
+        "TOKEN_ENV",
+        "RemoteStore",
+        "StoreServer",
+    ),
+    ".localdir": ("LocalDirStore",),
+    ".objectstore": (
+        "DEFAULT_FANOUT",
+        "ENDPOINT_ENV",
+        "Boto3Transport",
+        "HTTPTransport",
+        "MemoryTransport",
+        "ObjectStore",
+        "ObjectStoreError",
+        "ObjectTransport",
+        "open_object_store",
+    ),
+    ".sqlite": ("SqlitePackStore",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BACKEND_ENV",

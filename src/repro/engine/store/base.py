@@ -133,6 +133,28 @@ REMOTE_PREFIXES = ("http://", "https://")
 DEFAULT_KEY_BATCH = 500
 
 
+class RemoteStoreError(OSError):
+    """A network store (``repro serve``, :mod:`.http`) could not be
+    reached or refused the request.
+
+    ``status`` carries the HTTP status code when the server answered
+    with a permanent error, ``None`` for transport failures and
+    exhausted retries — callers use it to tell "this server does not
+    know the endpoint" (404, e.g. an older protocol) from "this server
+    is gone".  Defined here rather than in :mod:`.http` so that callers
+    such as the CLI's error handler can name it without loading the
+    HTTP client.
+    """
+
+    def __init__(self, message: str, status: int | None = None):
+        super().__init__(message)
+        self.status = status
+
+
+class RemoteAuthError(RemoteStoreError):
+    """The server rejected the request's bearer token (401/403)."""
+
+
 def default_cache_dir() -> Path:
     return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
 
@@ -446,10 +468,8 @@ def open_backend(location: str | os.PathLike | None = None) -> CacheBackend:
     into ``<dir>/results.sqlite``.
 
     ``None`` falls back to ``REPRO_CACHE_DIR`` / ``.repro_cache``.
+    Only the chosen backend's module is imported.
     """
-    from .localdir import LocalDirStore
-    from .sqlite import SqlitePackStore
-
     if location is None:
         location = os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
     text = os.fspath(location)
@@ -463,7 +483,7 @@ def open_backend(location: str | os.PathLike | None = None) -> CacheBackend:
             f"pack-file suffix {path.suffix!r}",
             f"sqlite:{text}",
         )
-        return SqlitePackStore(path)
+        return _open_sqlite_scheme(text, text)
     backend = (os.environ.get(BACKEND_ENV) or "dir").strip().lower()
     if backend == "sqlite":
         _warn_deprecated(
@@ -471,9 +491,9 @@ def open_backend(location: str | os.PathLike | None = None) -> CacheBackend:
             f"{BACKEND_ENV}=sqlite on a plain path",
             f"sqlite:{path / 'results.sqlite'}",
         )
-        return SqlitePackStore(path / "results.sqlite")
+        return _open_sqlite_scheme(text, str(path / "results.sqlite"))
     if backend in ("", "dir", "local", "localdir"):
-        return LocalDirStore(path)
+        return _open_dir_scheme(text, text)
     raise ValueError(f"unknown {BACKEND_ENV} value {backend!r}; options: dir, sqlite")
 
 

@@ -106,6 +106,8 @@ from .base import (
     CacheStats,
     GCReport,
     RawEntry,
+    RemoteAuthError,
+    RemoteStoreError,
     chunked,
     iter_all_keys,
 )
@@ -132,25 +134,6 @@ DEFAULT_PORT = 8123
 #: Transient HTTP statuses worth retrying: timeouts, throttling, and
 #: server-side 5xx.  Auth failures and client errors are permanent.
 _RETRY_STATUSES = frozenset({408, 425, 429, 500, 502, 503, 504})
-
-
-class RemoteStoreError(OSError):
-    """The remote store could not be reached or refused the request.
-
-    ``status`` carries the HTTP status code when the server answered
-    with a permanent error, ``None`` for transport failures and
-    exhausted retries — callers use it to tell "this server does not
-    know the endpoint" (404, e.g. an older protocol) from "this server
-    is gone".
-    """
-
-    def __init__(self, message: str, status: int | None = None):
-        super().__init__(message)
-        self.status = status
-
-
-class RemoteAuthError(RemoteStoreError):
-    """The server rejected the request's bearer token (401/403)."""
 
 
 def _parse_retry_after(value: str | None) -> float | None:

@@ -2,31 +2,42 @@
 
 The scalar event-driven core (:mod:`.network`) is the bit-identical
 reference; :mod:`.batch` steps whole campaign grids in NumPy lockstep.
-NumPy stays an optional dependency: :mod:`.batch` guards its import, so
-importing ``repro.sim`` never requires it — only actually *running* the
-batch tier does.
+NumPy stays an optional dependency, and it loads only with the batch
+tier: the names below resolve on first access, so importing
+``repro.sim`` (or ``SimConfig``, ``NoCSimulator``, ``SimResult``) never
+imports :mod:`.batch`.  The first access to a batch name — in practice,
+the engine dispatching misses with ``executor="batch"``/``"auto"`` —
+imports it, and it imports NumPy if installed.
 """
 
-from .batch import (
-    BatchLane,
-    BatchUnavailableError,
-    batchable_config,
-    batchable_routing,
-    numpy_available,
-    simulate_batch,
-)
-from .config import (
-    BUFFERING_STRATEGIES,
-    SimConfig,
-    cbr,
-    eb_large,
-    eb_small,
-    eb_var,
-    el_links,
-)
-from .links import CreditLink, ElasticLink, link_latency
-from .network import NoCSimulator, SimResult
-from .packet import Flit, Packet
+from .._lazy import lazy_exports
+
+#: Public name -> defining submodule, grouped by submodule; resolved on
+#: first access (see :mod:`repro._lazy`).
+_EXPORTS = {
+    ".batch": (
+        "BatchLane",
+        "BatchUnavailableError",
+        "batchable_config",
+        "batchable_routing",
+        "numpy_available",
+        "simulate_batch",
+    ),
+    ".config": (
+        "BUFFERING_STRATEGIES",
+        "SimConfig",
+        "cbr",
+        "eb_large",
+        "eb_small",
+        "eb_var",
+        "el_links",
+    ),
+    ".links": ("CreditLink", "ElasticLink", "link_latency"),
+    ".network": ("NoCSimulator", "SimResult"),
+    ".packet": ("Flit", "Packet"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BatchLane",

@@ -13,7 +13,7 @@ from repro.engine import (
     run_compare,
     topology_fingerprint,
 )
-from repro.engine.cache import SCHEMA_VERSION
+from repro.engine.store import SCHEMA_VERSION
 from repro.sim import SimConfig, SimResult
 from repro.topos import make_network
 

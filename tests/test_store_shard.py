@@ -506,6 +506,27 @@ class TestRemoteStore:
         with pytest.raises(RemoteStoreError, match="repro serve"):
             store.stats()
 
+    def test_cli_on_unreachable_store_prints_error_and_exits_2(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.__main__ import main
+
+        server = StoreServer(SqlitePackStore(tmp_path / "s.sqlite"))
+        url = server.url
+        server.close()  # nothing listens on that port anymore
+        monkeypatch.setenv("REPRO_CALIBRATION", str(tmp_path / "cal.json"))
+        rc = main(
+            [
+                "sweep", "sn54", "--loads", "0.02", "--quiet",
+                "--warmup", "50", "--measure", "100", "--drain", "200",
+                "--cache-dir", url,
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert url in err
+
     def test_remote_merge_round_trip_is_byte_identical(self, tmp_path, server):
         """local pack -> remote -> fresh local pack preserves canonical
         bytes and LRU timestamps: the network is a transport, not a
@@ -679,12 +700,13 @@ class TestPoolLifecycle:
         specs = [fast_spec(load=x) for x in (0.02, 0.05, 0.08)]
         ExperimentEngine(cache=cache).run(specs)
 
-        import repro.engine.runner as runner_module
+        import concurrent.futures
 
         def poisoned(*args, **kwargs):
             raise AssertionError("pool started on a pure cache read")
 
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", poisoned)
+        # The runner imports the pool class where it builds the pool.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", poisoned)
         with ExperimentEngine(cache=cache, max_workers=4) as engine:
             results = engine.run(specs)
             assert engine.last_stats.cache_hits == len(specs)
