@@ -23,17 +23,25 @@ set when a flit is buffered in one of their input units or CB queues and
 leave it once empty, and links are tracked while they carry in-flight
 flits or credits, so :meth:`NoCSimulator.step` visits only components
 that can make progress (below saturation almost everything is idle almost
-always).  On top of that, :meth:`NoCSimulator.run` *fast-forwards*: when
-no router can act before some future cycle — every buffered head flit is
-still in its pipeline or CB-penalty wait and all link/ejection events are
+always).  Switch allocation is one pass per cycle over the active routers
+in ascending index order, with the per-cycle state bound to locals once.
+The pass is picked from the :class:`~repro.sim.config.SimConfig` at build
+time: the *credit allocator* serves credit links without a central buffer
+(EB-Small/Large/Var, SMART, any routing), and the *general allocator*
+adds the elastic-link and central-buffer rules (EL-Links, CBR).  Both
+grant the same flits in the same order on credit-only configurations.
+
+On top of that, :meth:`NoCSimulator.run` *fast-forwards*: when no router
+can act before some future cycle — every buffered head flit is still in
+its pipeline or CB-penalty wait and all link/ejection events are
 scheduled later — ``now`` jumps straight to the next scheduled event
 (link or credit arrival, pipeline-eligibility time, next injection),
-skipping warmup gaps, drain tails, and low-load injection gaps.  Both
-optimizations are exact: per-router state is resolved to port-indexed
-lists once at build time, active components are visited in the same
-order the naive lockstep core used, and skipped cycles consume the
-injection RNG identically, so results are bit-identical to the
-pre-optimization core (pinned by ``tests/test_golden_digests.py``).
+skipping warmup gaps, drain tails, and low-load injection gaps.  All of
+this is exact: per-router state is resolved to port-indexed lists once
+at build time, active components are visited in the same order the
+naive lockstep core used, and skipped cycles consume the injection RNG
+identically, so results are bit-identical to the pre-optimization core
+(pinned by ``tests/test_golden_digests.py``).
 
 The simulator also implements the
 :class:`~repro.routing.algorithms.QueueOracle` protocol so UGAL can
@@ -302,7 +310,15 @@ class NoCSimulator(QueueOracle):
     def _build(self) -> None:
         topo, cfg = self.topology, self.config
         self._elastic = cfg.elastic_links
+        self._uses_cb = cfg.uses_central_buffer
         self._eligible_at = cfg.router_delay - 1
+        # The switch allocator for this flow control (see step()), kept as
+        # a plain function so the simulator holds no reference cycle.
+        if self._elastic or self._uses_cb:
+            self._allocate = NoCSimulator._allocate_general
+        else:
+            self._allocate = NoCSimulator._allocate_credit
+        self._node_router = [topo.node_router(node) for node in range(topo.num_nodes)]
         # Structure (neighbor order, unit layout, link order, latencies,
         # credit grants) comes from the shared NetworkState derivation;
         # the batch kernel builds its arrays from the very same layout.
@@ -390,7 +406,7 @@ class NoCSimulator(QueueOracle):
         # as the standalone/unit-tested model).  Per-wire in-flight counts
         # are only maintained when the CBR spill heuristic needs them.
         self._event_wheel: dict[int, list[tuple]] = {}
-        self._track_inflight = cfg.uses_central_buffer and not cfg.elastic_links
+        self._track_inflight = self._uses_cb and not cfg.elastic_links
         self._credit_inflight: list[int] = [0] * len(self.links)
         self._active_elastic_links: set[tuple[int, int]] = set()
         # Hoisted per-cycle scratch (cleared after use, never reallocated).
@@ -441,9 +457,12 @@ class NoCSimulator(QueueOracle):
         reply_size: int = 0,
     ) -> Packet:
         """Create a packet at ``src_node``'s NIC, routed now."""
-        src_router = self.topology.node_router(src_node)
-        dst_router = self.topology.node_router(dst_node)
-        route = self.routing.route(src_router, dst_router)
+        node_router = self._node_router
+        num_nodes = len(node_router)
+        if not (0 <= src_node < num_nodes and 0 <= dst_node < num_nodes):
+            raise ValueError(f"node pair ({src_node}, {dst_node}) out of range")
+        src_router = node_router[src_node]
+        route = self.routing.route(src_router, node_router[dst_node])
         packet = Packet(
             src=src_node,
             dst=dst_node,
@@ -459,8 +478,9 @@ class NoCSimulator(QueueOracle):
         router = self.routers[src_router]
         if not buffer:
             router.occupied.add(unit.index)
+        now = self.now
         for flit in packet.make_flits():
-            flit.arrival = self.now
+            flit.arrival = now
             buffer.append(flit)
         router.buffered += size
         self._active_routers.add(src_router)
@@ -504,12 +524,7 @@ class NoCSimulator(QueueOracle):
         delivered = self._drain_ejection()
         active = self._active_routers
         if active:
-            routers = self.routers
-            for index in sorted(active):
-                router = routers[index]
-                self._arbitrate(router)
-                if not router.buffered and not router.cb_flits:
-                    active.discard(index)
+            self._allocate(self, sorted(active))
         return delivered
 
     def _deliver_credit_links(self) -> None:
@@ -637,46 +652,115 @@ class NoCSimulator(QueueOracle):
     # Switch allocation
     # ------------------------------------------------------------------
 
-    def _arbitrate(self, router: _Router) -> None:
-        """Switch allocation for one router-cycle, fully inlined.
+    def _allocate_credit(self, order: list[int]) -> None:
+        """One cycle of switch allocation under credit flow control.
 
-        This is the single hottest function in the repository, so the
-        viability test (the old ``_can_traverse``), round-robin pick, and
-        winner traversal are spelled out inline: per-``out_key`` state
-        (owner/credit base index, outbound link, ejection credit) is
-        resolved once instead of once per candidate, and no per-candidate
-        function calls remain.  Request-table insertion order, round-robin
-        pointer updates, and grant side effects replicate the lockstep
-        core operation for operation.
+        Selected when links are credit-based and there is no central
+        buffer (EB-Small/Large/Var, SMART, any routing).  ``order`` is the
+        active routers in ascending index order.  Per router, every
+        eligible head-of-queue flit requests its output port in unit build
+        order (which fixes the grant order), and each requested port grants
+        one viable input unit round-robin.  A unit is viable when its
+        packet owns the output VC (or, as a head flit, may claim a free
+        one) and the VC holds a downstream credit; a NIC ejection port
+        takes any candidate while it has ejection credit.  Candidates are
+        the input units themselves, and a port with a single candidate
+        grants without building the viable list.
         """
         now = self.now
         eligible_at = self._eligible_at
-        occupied = router.occupied
-        requests = None
-
-        # Fast paths for the by-far most common sub-saturation shapes.
-        # One occupied unit and nothing in the CB: a single candidate with
-        # no possible output conflict — grant (or CB-spill) directly, with
-        # no request table, viable list, or loop.  The side effects (round
-        # robin advance on viability, pop/credit/owner/wheel updates)
-        # mirror the general path below operation for operation.
-        n_occupied = len(occupied)
-        if not router.cb_flits and n_occupied == 1:
-            unit = router.in_units[next(iter(occupied))]
-            flit: Flit = unit.buffer[0]
-            hop = flit.hop
-            packet = flit.packet
-            if flit.is_head:
-                if now < flit.arrival + eligible_at:
-                    return
-            cb_committed = router.cb_committed
-            if hop == packet.last_hop:  # ejection port
-                dst = packet.dst
-                if self.eject_credits[dst] <= 0 or (
-                    cb_committed and packet.pid in cb_committed
-                ):
-                    return
-                self._ej_rr[dst] += 1
+        routers = self.routers
+        active = self._active_routers
+        wheel = self._event_wheel
+        occupancy = self._occupancy
+        eject_credits = self.eject_credits
+        eject_pipe = self.eject_pipe
+        ej_rr = self._ej_rr
+        backlog = self.injection_backlog
+        nonzero_backlogs = self._nonzero_backlogs
+        requests = self._requests  # hoisted: cleared after each router
+        viable = self._viable  # hoisted: cleared before each use
+        for router_index in order:
+            router = routers[router_index]
+            units = router.in_units
+            for unit_index in sorted(router.occupied):
+                unit = units[unit_index]
+                flit = unit.buffer[0]
+                # Head flits pay the pipeline (route computation +
+                # allocation); body flits inherit the head's state and
+                # stream at link rate.
+                if flit.is_head and now < flit.arrival + eligible_at:
+                    continue
+                packet = flit.packet
+                if flit.hop == packet.last_hop:
+                    out_key = packet.ej_key
+                else:
+                    out_key = packet.path[flit.hop + 1]
+                candidates = requests.get(out_key)
+                if candidates is None:
+                    requests[out_key] = [unit]
+                else:
+                    candidates.append(unit)
+            if not requests:
+                continue  # every buffered head is still in its pipeline
+            occupied = router.occupied
+            out_info = router.out_info
+            owner_list = router.owner
+            credits = router.credits
+            rr = router.rr
+            for out_key, candidates in requests.items():
+                to_router = type(out_key) is int
+                if to_router:
+                    base, _, latency, out_code, ordinal, rr_slot = out_info[out_key]
+                    if len(candidates) == 1:
+                        unit = candidates[0]
+                        flit = unit.buffer[0]
+                        packet = flit.packet
+                        vc = packet.vcs[flit.hop]
+                        index = base + vc
+                        owner = owner_list[index]
+                        if owner is None:
+                            if not flit.is_head:
+                                continue  # body flits only follow their own head
+                        elif owner != packet.pid:
+                            continue
+                        if credits[index] <= 0:
+                            continue
+                        rr[rr_slot] += 1
+                    else:
+                        viable.clear()
+                        for unit in candidates:
+                            flit = unit.buffer[0]
+                            packet = flit.packet
+                            index = base + packet.vcs[flit.hop]
+                            owner = owner_list[index]
+                            if owner is None:
+                                if not flit.is_head:
+                                    continue
+                            elif owner != packet.pid:
+                                continue
+                            if credits[index] > 0:
+                                viable.append(unit)
+                        if not viable:
+                            continue
+                        pointer = rr[rr_slot]
+                        rr[rr_slot] = pointer + 1
+                        unit = viable[pointer % len(viable)]
+                        flit = unit.buffer[0]
+                        packet = flit.packet
+                        vc = packet.vcs[flit.hop]
+                        index = base + vc
+                else:
+                    dst = out_key[1]
+                    if eject_credits[dst] <= 0:
+                        continue
+                    pointer = ej_rr[dst]
+                    ej_rr[dst] = pointer + 1
+                    unit = candidates[pointer % len(candidates)]
+                    flit = unit.buffer[0]
+                    packet = flit.packet
+                # Pop the winner; its slot's credit returns upstream, or
+                # its NIC's backlog shrinks.
                 buffer = unit.buffer
                 buffer.popleft()
                 if not buffer:
@@ -685,142 +769,80 @@ class NoCSimulator(QueueOracle):
                 node = unit.node
                 if node is not None:
                     value = len(buffer)
-                    self.injection_backlog[node] = value
+                    backlog[node] = value
                     if value:
-                        self._nonzero_backlogs[node] = value
+                        nonzero_backlogs[node] = value
                     else:
-                        self._nonzero_backlogs.pop(node, None)
+                        nonzero_backlogs.pop(node, None)
                     self._backlog_dirty = True
-                elif unit.credit_code >= 0:
+                else:
                     when = now + unit.credit_latency
-                    wheel = self._event_wheel
                     try:
                         wheel[when].append((unit.credit_code, unit.vc))
                     except KeyError:
                         wheel[when] = [(unit.credit_code, unit.vc)]
-                self.eject_credits[dst] -= 1
-                self.eject_pipe.append((now + 1, flit))
                 if flit.is_head and packet.injected < 0:
                     packet.injected = now
-                return
-            out_key = packet.path[hop + 1]
-            base, link, latency, out_code, ordinal, rr_slot = (
-                router.out_info[out_key]
-            )
-            vc = packet.vcs[hop]
-            index = base + vc
-            owner_list = router.owner
-            owner = owner_list[index]
-            if owner is None:
-                viable_one = flit.is_head
-            else:
-                viable_one = owner == packet.pid
-            if viable_one:
-                if self._elastic:
-                    viable_one = vc not in link.stages[0]
-                else:
-                    viable_one = router.credits[index] > 0
-                if viable_one and cb_committed and packet.pid in cb_committed:
-                    viable_one = False
-            if not viable_one:
-                if self.config.uses_central_buffer:
-                    self._try_central_buffer(router, out_key, [(unit, flit, True)])
-                return
-            router.rr[rr_slot] += 1
-            buffer = unit.buffer
-            buffer.popleft()
-            if not buffer:
-                occupied.discard(unit.index)
-            router.buffered -= 1
-            node = unit.node
-            if node is not None:
-                value = len(buffer)
-                self.injection_backlog[node] = value
-                if value:
-                    self._nonzero_backlogs[node] = value
-                else:
-                    self._nonzero_backlogs.pop(node, None)
-                self._backlog_dirty = True
-            elif unit.credit_code >= 0:
-                when = now + unit.credit_latency
-                wheel = self._event_wheel
-                try:
-                    wheel[when].append((unit.credit_code, unit.vc))
-                except KeyError:
-                    wheel[when] = [(unit.credit_code, unit.vc)]
-            if flit.is_head:
-                owner_list[index] = packet.pid
-                if packet.injected < 0:
-                    packet.injected = now
-            if flit.is_tail:
-                owner_list[index] = None
-            flit.hop = hop + 1
-            if self._elastic:
-                link.push(flit, vc)
-                self._active_elastic_links.add((router.index, out_key))
-            else:
-                router.credits[index] -= 1
+                if not to_router:
+                    eject_credits[dst] -= 1
+                    eject_pipe.append((now + 1, flit))
+                    continue
+                if flit.is_head:
+                    owner_list[index] = packet.pid
+                if flit.is_tail:
+                    owner_list[index] = None
+                flit.hop += 1
+                credits[index] -= 1
                 when = now + latency
-                wheel = self._event_wheel
                 try:
                     wheel[when].append((out_code, flit, vc))
                 except KeyError:
                     wheel[when] = [(out_code, flit, vc)]
-                if self._track_inflight:
-                    self._credit_inflight[ordinal] += 1
-            self._occupancy[ordinal] += 1
-            return
+                occupancy[ordinal] += 1
+            requests.clear()
+            if not router.buffered:
+                active.discard(router_index)
 
-        # Two occupied units, CB empty: the potential conflict (same
-        # out_key) is one direct comparison; the request table degenerates
-        # to literal tuples feeding the general grant loop.
-        if not router.cb_flits and n_occupied == 2:
-            units = router.in_units
-            first, second = occupied
-            if first > second:
-                first, second = second, first
-            unit = units[first]
-            flit = unit.buffer[0]
-            cand1 = cand2 = None
-            if not (flit.is_head and now < flit.arrival + eligible_at):
-                packet = flit.packet
-                if flit.hop == packet.last_hop:
-                    out_key: object = packet.ej_key
-                else:
-                    out_key = packet.path[flit.hop + 1]
-                cand1 = (unit, flit, True)
-            unit = units[second]
-            flit = unit.buffer[0]
-            if not (flit.is_head and now < flit.arrival + eligible_at):
-                packet = flit.packet
-                if flit.hop == packet.last_hop:
-                    out_key2: object = packet.ej_key
-                else:
-                    out_key2 = packet.path[flit.hop + 1]
-                cand2 = (unit, flit, True)
-            if cand1 is None:
-                if cand2 is None:
-                    return
-                grants = ((out_key2, (cand2,)),)
-            elif cand2 is None:
-                grants = ((out_key, (cand1,)),)
-            elif out_key == out_key2:
-                grants = ((out_key, (cand1, cand2)),)
-            else:
-                grants = ((out_key, (cand1,)), (out_key2, (cand2,)))
-        else:
-            requests = self._requests  # hoisted: cleared after use
+    def _allocate_general(self, order: list[int]) -> None:
+        """One cycle of switch allocation for elastic links and the CBR.
+
+        Same request/grant structure as :meth:`_allocate_credit`, with
+        candidates as ``(container, flit, from_input)`` triples so that CB
+        queues (``from_input`` false) re-arbitrate alongside the staging
+        buffers.  On top of the credit rules: an elastic output VC needs a
+        free first link stage instead of a credit, flits of a packet
+        committed to the CB only leave through it, and a router port that
+        grants nothing may spill one losing flit into the CB.  It is
+        correct for every configuration, and the property tests hold it to
+        the credit allocator's results on credit-only ones.
+        """
+        now = self.now
+        eligible_at = self._eligible_at
+        routers = self.routers
+        active = self._active_routers
+        elastic = self._elastic
+        uses_cb = self._uses_cb
+        track_inflight = self._track_inflight
+        credit_inflight = self._credit_inflight
+        active_links = self._active_elastic_links
+        wheel = self._event_wheel
+        occupancy = self._occupancy
+        eject_credits = self.eject_credits
+        eject_pipe = self.eject_pipe
+        ej_rr = self._ej_rr
+        backlog = self.injection_backlog
+        nonzero_backlogs = self._nonzero_backlogs
+        requests = self._requests  # hoisted: cleared after each router
+        viable = self._viable  # hoisted: cleared before each use
+        for router_index in order:
+            router = routers[router_index]
             if router.buffered:
                 units = router.in_units
-                # Ascending index order == build order == the order the
-                # lockstep core walked the full (port, VC) dict, which
-                # fixes the requests ordering the CB spill path depends on.
-                for index in sorted(occupied):
-                    unit = units[index]
+                # Ascending index order == build order, which fixes the
+                # requests ordering the CB spill path depends on.
+                for unit_index in sorted(router.occupied):
+                    unit = units[unit_index]
                     flit = unit.buffer[0]
-                    # Head flits pay the pipeline (route computation +
-                    # allocation); body flits inherit the head's state and
-                    # stream at link rate.
                     if flit.is_head and now < flit.arrival + eligible_at:
                         continue
                     packet = flit.packet
@@ -833,7 +855,6 @@ class NoCSimulator(QueueOracle):
                         requests[out_key] = [(unit, flit, True)]
                     else:
                         candidates.append((unit, flit, True))
-
             # CB queues re-arbitrate alongside staged flits.  The CB is
             # modeled as per-output FIFOs: each output port can drain one
             # CB flit per cycle (the mux/demux sharing of Figure 8), while
@@ -850,167 +871,129 @@ class NoCSimulator(QueueOracle):
                         requests[out_port] = [(queue, flit, False)]
                     else:
                         candidates.append((queue, flit, False))
-
-            if not requests:
-                return
-            grants = requests.items()
-
-        elastic = self._elastic
-        uses_cb = self.config.uses_central_buffer
-        cb_committed = router.cb_committed
-        viable = self._viable  # hoisted: cleared before each use
-        router_index = router.index
-        wheel = self._event_wheel
-        track_inflight = self._track_inflight
-        for out_key, candidates in grants:
-            winner = None
-            if type(out_key) is int:
-                base, link, latency, out_code, ordinal, rr_slot = (
-                    router.out_info[out_key]
-                )
+            if requests:
+                occupied = router.occupied
+                out_info = router.out_info
                 owner_list = router.owner
-                credits_list = router.credits
-                viable.clear()
-                for candidate in candidates:
-                    flit = candidate[1]
-                    packet = flit.packet
-                    vc = packet.vcs[flit.hop]
-                    owner = owner_list[base + vc]
-                    if owner is not None:
-                        if owner != packet.pid:
+                credits = router.credits
+                cb_committed = router.cb_committed
+                for out_key, candidates in requests.items():
+                    to_router = type(out_key) is int
+                    viable.clear()
+                    if to_router:
+                        info = out_info[out_key]
+                        base, link, latency, out_code, ordinal, rr_slot = info
+                        for candidate in candidates:
+                            flit = candidate[1]
+                            packet = flit.packet
+                            vc = packet.vcs[flit.hop]
+                            owner = owner_list[base + vc]
+                            if owner is not None:
+                                if owner != packet.pid:
+                                    continue
+                            elif not flit.is_head:
+                                continue  # body flits only follow their own head
+                            if elastic:
+                                if vc in link.stages[0]:  # inline can_accept
+                                    continue
+                            elif credits[base + vc] <= 0:
+                                continue
+                            if (
+                                candidate[2]
+                                and cb_committed
+                                and packet.pid in cb_committed
+                            ):
+                                continue  # committed packets leave via the CB
+                            viable.append(candidate)
+                        if not viable:
+                            # CBR: losing head flits (and flits of
+                            # CB-committed packets) fall into the central
+                            # buffer when a whole-packet reservation fits.
+                            # Writes are per input port (banked SRAM / demux
+                            # sharing): each blocked staging buffer may
+                            # spill at most one flit per cycle.
+                            if uses_cb:
+                                self._try_central_buffer(router, out_key, candidates)
                             continue
-                    elif not flit.is_head:
-                        continue  # body flits only follow their own head
-                    if elastic:
-                        if vc in link.stages[0]:  # inline can_accept
-                            continue
-                    elif credits_list[base + vc] <= 0:
-                        continue
-                    if candidate[2] and cb_committed and packet.pid in cb_committed:
-                        continue  # committed packets re-arbitrate from the CB
-                    viable.append(candidate)
-                if viable:
-                    rr = router.rr
-                    pointer = rr[rr_slot]
-                    rr[rr_slot] = pointer + 1
-                    if len(viable) == 1:
-                        winner = viable[0]
+                        rr = router.rr
+                        pointer = rr[rr_slot]
+                        rr[rr_slot] = pointer + 1
                     else:
-                        winner = viable[pointer % len(viable)]
-                    container, flit, from_input = winner
+                        dst = out_key[1]
+                        if eject_credits[dst] <= 0:
+                            continue
+                        for candidate in candidates:
+                            if (
+                                candidate[2]
+                                and cb_committed
+                                and candidate[1].packet.pid in cb_committed
+                            ):
+                                continue
+                            viable.append(candidate)
+                        if not viable:
+                            continue
+                        pointer = ej_rr[dst]
+                        ej_rr[dst] = pointer + 1
+                    container, flit, from_input = viable[pointer % len(viable)]
                     packet = flit.packet
-                    vc = packet.vcs[flit.hop]
-                    index = base + vc
                     if from_input:  # inline input-unit pop
-                        unit_buffer = container.buffer
-                        unit_buffer.popleft()
-                        if not unit_buffer:
+                        buffer = container.buffer
+                        buffer.popleft()
+                        if not buffer:
                             occupied.discard(container.index)
                         router.buffered -= 1
                         node = container.node
                         if node is not None:
-                            value = len(unit_buffer)
-                            self.injection_backlog[node] = value
+                            value = len(buffer)
+                            backlog[node] = value
                             if value:
-                                self._nonzero_backlogs[node] = value
+                                nonzero_backlogs[node] = value
                             else:
-                                self._nonzero_backlogs.pop(node, None)
+                                nonzero_backlogs.pop(node, None)
                             self._backlog_dirty = True
                         elif container.credit_code >= 0:
                             when = now + container.credit_latency
+                            entry = (container.credit_code, container.vc)
                             try:
-                                wheel[when].append(
-                                    (container.credit_code, container.vc)
-                                )
+                                wheel[when].append(entry)
                             except KeyError:
-                                wheel[when] = [(container.credit_code, container.vc)]
-                    else:  # CB queue pop
+                                wheel[when] = [entry]
+                    else:  # CB queue pop (the CB only fronts router ports)
                         container.popleft()
                         router.cb_free += 1
                         router.cb_flits -= 1
                         if flit.is_tail:
-                            router.cb_stream_owner.pop((out_key, vc), None)
+                            stream = (out_key, packet.vcs[flit.hop])
+                            router.cb_stream_owner.pop(stream, None)
+                    if flit.is_head and packet.injected < 0:
+                        packet.injected = now
+                    if not to_router:
+                        eject_credits[dst] -= 1
+                        eject_pipe.append((now + 1, flit))
+                        continue
+                    vc = packet.vcs[flit.hop]
+                    index = base + vc
                     if flit.is_head:
                         owner_list[index] = packet.pid
-                        if packet.injected < 0:
-                            packet.injected = now
                     if flit.is_tail:
                         owner_list[index] = None
                     flit.hop += 1
+                    occupancy[ordinal] += 1
                     if elastic:
                         link.push(flit, vc)
-                        self._active_elastic_links.add((router_index, out_key))
-                    else:
-                        credits_list[index] -= 1
-                        when = now + latency
-                        try:
-                            wheel[when].append((out_code, flit, vc))
-                        except KeyError:
-                            wheel[when] = [(out_code, flit, vc)]
-                        if track_inflight:
-                            self._credit_inflight[ordinal] += 1
-                    self._occupancy[ordinal] += 1
-                # CBR: losing head flits (and flits of CB-committed
-                # packets) fall into the central buffer when a
-                # whole-packet reservation fits.  Writes are
-                # per-input-port (banked SRAM / demux sharing): each
-                # blocked staging buffer may spill at most one flit/cycle.
-                if winner is None and uses_cb:
-                    self._try_central_buffer(router, out_key, candidates)
-            else:
-                # ("ej", node) ejection port: one shared viability test.
-                dst = out_key[1]
-                if self.eject_credits[dst] > 0:
-                    viable.clear()
-                    for candidate in candidates:
-                        flit = candidate[1]
-                        if (
-                            candidate[2]
-                            and cb_committed
-                            and flit.packet.pid in cb_committed
-                        ):
-                            continue
-                        viable.append(candidate)
-                    if viable:
-                        ej_rr = self._ej_rr
-                        pointer = ej_rr[dst]
-                        ej_rr[dst] = pointer + 1
-                        if len(viable) == 1:
-                            container, flit, from_input = viable[0]
-                        else:
-                            container, flit, from_input = viable[pointer % len(viable)]
-                        packet = flit.packet
-                        # Ejecting candidates always come from input units
-                        # (the CB only fronts router-to-router ports), so
-                        # the inline pop handles just that shape.
-                        unit_buffer = container.buffer
-                        unit_buffer.popleft()
-                        if not unit_buffer:
-                            occupied.discard(container.index)
-                        router.buffered -= 1
-                        node = container.node
-                        if node is not None:
-                            value = len(unit_buffer)
-                            self.injection_backlog[node] = value
-                            if value:
-                                self._nonzero_backlogs[node] = value
-                            else:
-                                self._nonzero_backlogs.pop(node, None)
-                            self._backlog_dirty = True
-                        elif container.credit_code >= 0:
-                            when = now + container.credit_latency
-                            try:
-                                wheel[when].append(
-                                    (container.credit_code, container.vc)
-                                )
-                            except KeyError:
-                                wheel[when] = [(container.credit_code, container.vc)]
-                        self.eject_credits[dst] -= 1
-                        self.eject_pipe.append((now + 1, flit))
-                        if flit.is_head and packet.injected < 0:
-                            packet.injected = now
-        if requests is not None:
-            requests.clear()
+                        active_links.add((router_index, out_key))
+                        continue
+                    credits[index] -= 1
+                    when = now + latency
+                    try:
+                        wheel[when].append((out_code, flit, vc))
+                    except KeyError:
+                        wheel[when] = [(out_code, flit, vc)]
+                    if track_inflight:
+                        credit_inflight[ordinal] += 1
+                requests.clear()
+            if not router.buffered and not router.cb_flits:
+                active.discard(router_index)
 
     def _pop_input(self, router: _Router, unit: _InputUnit) -> None:
         """Dequeue the head flit of an input unit (CB spill path; the

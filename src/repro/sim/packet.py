@@ -63,15 +63,8 @@ class Packet:
         return self.ejected - self.created
 
     def make_flits(self) -> list["Flit"]:
-        return [
-            Flit(
-                packet=self,
-                index=i,
-                is_head=i == 0,
-                is_tail=i == self.size - 1,
-            )
-            for i in range(self.size)
-        ]
+        last = self.size - 1
+        return [Flit(self, i, i == 0, i == last) for i in range(self.size)]
 
 
 class Flit:

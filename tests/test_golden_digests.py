@@ -40,6 +40,15 @@ CONFIGS = {
     "cbr12": lambda: cbr(12),
 }
 
+#: The switch allocator each config selects: credit links without a
+#: central buffer get the credit allocator, everything else the general one.
+ALLOCATORS = {
+    "eb": "_allocate_credit",
+    "ebvar": "_allocate_credit",
+    "el": "_allocate_general",
+    "cbr12": "_allocate_general",
+}
+
 #: (topology, pattern, config key, load, seed, warmup, measure, drain).
 #: Covers both flow controls and the CBR across a low-diameter SN, a
 #: flattened butterfly, and a torus (dateline VCs), under a randomized and
@@ -129,6 +138,20 @@ def run_case(case: tuple) -> dict:
     return result.to_dict()
 
 
+def allocators_run(monkeypatch, run) -> tuple[dict, set[str]]:
+    """``run()``'s payload and the names of the allocators that ran."""
+    ran: set[str] = set()
+    for name in set(ALLOCATORS.values()):
+        allocate = getattr(NoCSimulator, name)
+
+        def recording(sim, order, name=name, allocate=allocate):
+            ran.add(name)
+            allocate(sim, order)
+
+        monkeypatch.setattr(NoCSimulator, name, recording)
+    return run(), ran
+
+
 def digest(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -139,10 +162,12 @@ def load_golden() -> dict[str, str]:
 
 
 @pytest.mark.parametrize("case", MATRIX, ids=case_id)
-def test_simresult_matches_golden_digest(case):
+def test_simresult_matches_golden_digest(case, monkeypatch):
     golden = load_golden()
     assert case_id(case) in golden, "regenerate tests/golden/sim_digests.json"
-    assert digest(run_case(case)) == golden[case_id(case)]
+    payload, ran = allocators_run(monkeypatch, lambda: run_case(case))
+    assert digest(payload) == golden[case_id(case)]
+    assert ran == {ALLOCATORS[case[2]]}
 
 
 def test_matrix_and_golden_file_agree():
@@ -163,11 +188,13 @@ def load_adaptive_golden() -> dict[str, str]:
 
 
 @pytest.mark.parametrize("case", ADAPTIVE_MATRIX, ids=adaptive_case_id)
-def test_adaptive_case_matches_golden_digest(case):
+def test_adaptive_case_matches_golden_digest(case, monkeypatch):
     golden = load_adaptive_golden()
     cid = adaptive_case_id(case)
     assert cid in golden, "regenerate tests/golden/adaptive_digests.json"
-    assert digest(run_adaptive_case(case)) == golden[cid]
+    payload, ran = allocators_run(monkeypatch, lambda: run_adaptive_case(case))
+    assert digest(payload) == golden[cid]
+    assert ran == {ALLOCATORS[case[3]]}
 
 
 def test_adaptive_matrix_and_golden_file_agree():

@@ -1,5 +1,6 @@
 """Cross-module property-based tests (hypothesis) on system invariants."""
 
+import json
 import math
 import random
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core import SlimNoC, layout_coordinates, mms_graph
 from repro.core.costmodel import round_trip_cycles
 from repro.core.placement import wire_path
+from repro.engine.spec import build_routing
 from repro.routing import (
     DeflectionRouting,
     MinimalPaths,
@@ -17,7 +19,7 @@ from repro.routing import (
     StaticMinimalRouting,
     UGALRouting,
 )
-from repro.sim import NoCSimulator, SimConfig, link_latency
+from repro.sim import NoCSimulator, SimConfig, eb_large, eb_var, link_latency
 from repro.topos import make_network
 from repro.traffic import (
     BurstSource,
@@ -310,3 +312,49 @@ def test_deflection_never_drops_flits(seed):
     assert res.delivered_packets == res.created_packets
     assert res.delivered_flits == res.delivered_packets * 6
     assert not res.saturated
+
+
+# --- switch allocators -------------------------------------------------------
+
+#: Every credit-link configuration without a central buffer, as
+#: (topology, config factory, routing): the edge-buffer presets, SMART,
+#: and the adaptive routings (UGAL reads live credit state; xy-adapt is
+#: the flattened butterfly's).
+_CREDIT_CONFIGS = {
+    "eb-small": ("sn54", SimConfig, "default"),
+    "eb-large": ("sn54", eb_large, "default"),
+    "eb-var": ("sn54", eb_var, "default"),
+    "eb-smart": ("sn54", lambda: SimConfig().with_smart(), "default"),
+    "eb-var-smart": ("fbf3", lambda: eb_var().with_smart(), "default"),
+    "ugal-l": ("sn54", SimConfig, "ugal-l"),
+    "ugal-g": ("sn54", eb_large, "ugal-g"),
+    "xy-adapt": ("fbf3", SimConfig, "xy-adapt"),
+}
+
+
+@given(
+    st.sampled_from(sorted(_CREDIT_CONFIGS)),
+    st.sampled_from(["RND", "ADV1", "SHF"]),
+    st.sampled_from([0.03, 0.15, 0.45]),
+    st.integers(1, 10_000),
+)
+@settings(max_examples=24, deadline=None)
+def test_credit_allocator_matches_general_allocator(name, pattern, load, seed):
+    """The credit allocator is the general one minus rules that cannot
+    fire without elastic links or a CB: on the same seed both must give
+    byte-identical results, from idle to past saturation."""
+    topo_sym, make_config, routing = _CREDIT_CONFIGS[name]
+
+    def run(force_general: bool) -> bytes:
+        topo = make_network(topo_sym)
+        sim = NoCSimulator(
+            topo, make_config(), routing=build_routing(routing, topo), seed=seed
+        )
+        assert sim._allocate is NoCSimulator._allocate_credit
+        if force_general:
+            sim._allocate = NoCSimulator._allocate_general
+        source = SyntheticSource(topo, pattern, load)
+        result = sim.run(source, warmup=60, measure=150, drain=400)
+        return json.dumps(result.to_dict(), sort_keys=True).encode()
+
+    assert run(force_general=True) == run(force_general=False)

@@ -89,6 +89,14 @@ class TestSinglePacket:
         assert packet.ejected > 0
         assert packet.route.hops == 0
 
+    @pytest.mark.parametrize("src, dst", [(-1, 5), (5, -1), (200, 5), (5, 200)])
+    def test_out_of_range_node_rejected(self, src, dst):
+        topo = make_network("sn200")  # nodes 0..199
+        sim = NoCSimulator(topo)
+        with pytest.raises(ValueError, match="out of range"):
+            sim.inject_packet(src, dst, size=6)
+        assert not sim._live_packets and not sim._active_routers
+
     def test_latency_accounts_serialization(self):
         """A 6-flit packet's tail trails its head by at least 5 cycles."""
         topo = make_network("sn200")
