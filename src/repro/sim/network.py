@@ -98,13 +98,6 @@ class _InputUnit:
         self.credit_code = -1  # event code of the upstream link's credit path
         self.credit_latency = credit_latency
 
-    @property
-    def occupancy(self) -> int:
-        return len(self.buffer)
-
-    def has_space(self) -> bool:
-        return len(self.buffer) < self.capacity
-
 
 class _Router:
     """Per-router state: input units, credits, ownership, CB queues.
@@ -117,8 +110,8 @@ class _Router:
     """
 
     __slots__ = (
-        "index", "neighbors", "config", "in_units", "in_index", "occupied",
-        "out_base", "out_code", "out_info", "credits", "owner", "rr",
+        "index", "neighbors", "in_units", "in_index", "occupied",
+        "out_base", "out_info", "credits", "owner", "rr",
         "buffered",
         "cb_free", "cb_flits", "cb_queues", "cb_committed", "cb_stream_owner",
     )
@@ -126,7 +119,6 @@ class _Router:
     def __init__(self, index: int, neighbors: tuple[int, ...], config: SimConfig):
         self.index = index
         self.neighbors = neighbors
-        self.config = config
         self.in_units: list[_InputUnit] = []
         self.occupied: set[int] = set()  # indices of non-empty units
         # (port_key, vc) -> unit; port_key is the upstream router id, or
@@ -135,7 +127,6 @@ class _Router:
         self.out_base: dict[int, int] = {
             nbr: pos * config.num_vcs for pos, nbr in enumerate(neighbors)
         }
-        self.out_code: dict[int, int] = {}  # neighbor -> flit event code
         # neighbor -> (credit/owner base, link, latency, event code,
         # occupancy ordinal, round-robin slot); one lookup serves a grant.
         self.out_info: dict[int, tuple] = {}
@@ -350,8 +341,6 @@ class NoCSimulator(QueueOracle):
                     router.in_units.append(unit)
                     router.in_index[(spec.upstream, spec.vc)] = unit
             router.credits[:] = rs.credit_init
-        # Per-link destination units ([vc] -> unit).
-        self._link_in_units: dict[tuple[int, int], list[_InputUnit]] = {}
         # Channel occupancy (UGAL's congestion estimate) as a flat list
         # indexed by link ordinal, with the (src, dst) -> ordinal map kept
         # for the cold QueueOracle lookup.
@@ -366,32 +355,27 @@ class NoCSimulator(QueueOracle):
         self._credit_handlers: dict[int, tuple] = {}
         self._elastic_info: dict[tuple[int, int], tuple] = {}
         for ordinal, (src, dst) in enumerate(self.links):
-            units = [
-                self.routers[dst].in_index[(src, vc)] for vc in range(cfg.num_vcs)
-            ]
-            self._link_in_units[(src, dst)] = units
+            src_router, dst_router = self.routers[src], self.routers[dst]
+            units = [dst_router.in_index[(src, vc)] for vc in range(cfg.num_vcs)]
             self._occ_ordinal[(src, dst)] = ordinal
             link = self.links[(src, dst)]
-            src_router = self.routers[src]
+            base = src_router.out_base[dst]
+            out_code = -1  # elastic links are not on the event wheel
             if cfg.elastic_links:
-                self._elastic_info[(src, dst)] = (
-                    link, units, self.routers[dst], ordinal
-                )
+                self._elastic_info[(src, dst)] = (link, units, dst_router, ordinal)
             else:
-                src_router.out_code[dst] = 2 * ordinal
-                self._flit_handlers[2 * ordinal] = (self.routers[dst], units)
-                self._credit_handlers[2 * ordinal + 1] = (
-                    src_router.credits, src_router.out_base[dst], ordinal,
-                )
-                for vc in range(cfg.num_vcs):
-                    units[vc].credit_code = 2 * ordinal + 1
+                out_code = 2 * ordinal
+                credit_code = out_code + 1
+                self._flit_handlers[out_code] = (dst_router, units)
+                self._credit_handlers[credit_code] = (src_router.credits, base, ordinal)
+                for unit in units:
+                    unit.credit_code = credit_code
             # One consolidated grant-time record per output port: the old
             # per-grant chain of out_base / links / out_code / occupancy
             # lookups collapses to a single dict hit.
+            slot = src_router.neighbors.index(dst)
             src_router.out_info[dst] = (
-                src_router.out_base[dst], link, link.latency,
-                src_router.out_code.get(dst, -1), ordinal,
-                src_router.neighbors.index(dst),
+                base, link, link.latency, out_code, ordinal, slot
             )
         # Activity tracking: components that can make progress this cycle.
         # Credit links are event-scheduled on a calendar wheel (arrival
