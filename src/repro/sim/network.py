@@ -77,8 +77,16 @@ class _InputUnit:
     only non-empty units.
     """
 
-    __slots__ = ("capacity", "buffer", "index", "node", "upstream", "vc",
-                 "credit_code", "credit_latency")
+    __slots__ = (
+        "capacity",
+        "buffer",
+        "index",
+        "node",
+        "upstream",
+        "vc",
+        "credit_code",
+        "credit_latency",
+    )
 
     def __init__(
         self,
@@ -110,10 +118,22 @@ class _Router:
     """
 
     __slots__ = (
-        "index", "neighbors", "in_units", "in_index", "occupied",
-        "out_base", "out_info", "credits", "owner", "rr",
+        "index",
+        "neighbors",
+        "in_units",
+        "in_index",
+        "occupied",
+        "out_base",
+        "out_info",
+        "credits",
+        "owner",
+        "rr",
         "buffered",
-        "cb_free", "cb_flits", "cb_queues", "cb_committed", "cb_stream_owner",
+        "cb_free",
+        "cb_flits",
+        "cb_queues",
+        "cb_committed",
+        "cb_stream_owner",
     )
 
     def __init__(self, index: int, neighbors: tuple[int, ...], config: SimConfig):
@@ -334,8 +354,10 @@ class NoCSimulator(QueueOracle):
                     self._inj_units[spec.node] = unit
                 else:
                     unit = _InputUnit(
-                        spec.capacity, spec.index,
-                        upstream=spec.upstream, vc=spec.vc,
+                        spec.capacity,
+                        spec.index,
+                        upstream=spec.upstream,
+                        vc=spec.vc,
                         credit_latency=spec.credit_latency,
                     )
                     router.in_units.append(unit)
@@ -1010,7 +1032,9 @@ class NoCSimulator(QueueOracle):
         # maintained exactly for this query (CBR + credit links only).
         return self._credit_inflight[self._occ_ordinal[(upstream, router.index)]] > 0
 
-    def _try_central_buffer(self, router: _Router, out_key, candidates: list[tuple]) -> bool:
+    def _try_central_buffer(
+        self, router: _Router, out_key, candidates: list[tuple]
+    ) -> bool:
         """Move one losing staged flit into the CB (atomic per packet).
 
         A packet only *opens* a CB reservation when its blocked head is
