@@ -392,9 +392,7 @@ class NoCSimulator(QueueOracle):
                 self._credit_handlers[credit_code] = (src_router.credits, base, ordinal)
                 for unit in units:
                     unit.credit_code = credit_code
-            # One consolidated grant-time record per output port: the old
-            # per-grant chain of out_base / links / out_code / occupancy
-            # lookups collapses to a single dict hit.
+            # One grant-time record per output port: a grant is one dict hit.
             slot = src_router.neighbors.index(dst)
             src_router.out_info[dst] = (
                 base, link, link.latency, out_code, ordinal, slot
