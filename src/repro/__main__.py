@@ -120,10 +120,8 @@ from .obs import (
     format_duration,
     get_logger,
 )
-from .power import TECH_45NM, network_area, static_power
-from .sim import BUFFERING_STRATEGIES, NoCSimulator, SimConfig
+from .sim.config import BUFFERING_STRATEGIES, SimConfig
 from .topos import catalog_symbols
-from .traffic import SyntheticSource, workload_names
 
 if TYPE_CHECKING:
     from .engine import QueueClient
@@ -823,6 +821,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_info(args: argparse.Namespace) -> int:
     from .engine import resolve_topology
+    from .power import TECH_45NM, network_area, static_power
+    from .sim.network import NoCSimulator
+    from .traffic.synthetic import SyntheticSource
 
     topology = resolve_topology(args.network)
     area = network_area(topology, TECH_45NM, edge_buffer_flits=None)
@@ -1162,6 +1163,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_workloads(args: argparse.Namespace) -> int:
     from .analysis import edp_gain, edp_table, workload_table
+    from .traffic.workloads import workload_names
 
     benches = [b for b in args.benches.split(",") if b]
     unknown = set(benches) - set(workload_names())

@@ -20,11 +20,13 @@ cacheable) and runs the legacy serial loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..routing import RoutingAlgorithm
-from ..sim import NoCSimulator, SimConfig
+from ..sim.config import SimConfig
 from ..topos.base import Topology
-from ..traffic import SyntheticSource
+
+if TYPE_CHECKING:
+    from ..routing import RoutingAlgorithm
 
 
 @dataclass(frozen=True)
@@ -175,6 +177,9 @@ def _sweep_serial(
     name: str | None,
 ) -> SweepResult:
     """Legacy in-process loop for live routing objects (UGAL et al.)."""
+    from ..sim.network import NoCSimulator
+    from ..traffic.synthetic import SyntheticSource
+
     if isinstance(topology, str):
         from ..engine import resolve_topology
 

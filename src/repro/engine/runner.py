@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -334,6 +333,8 @@ class ExperimentEngine:
                     if not misses:
                         pass
                     elif parallel:
+                        from concurrent.futures import FIRST_COMPLETED, wait
+
                         pool = self._ensure_pool()
                         pending = {
                             pool.submit(

@@ -33,29 +33,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import ClassVar, Iterable, Iterator, Union
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Union
 
+from .. import routing as _routing
 from ..obs.calibration import COST_BASE_ACTIVITY, CostCalibration
-from ..routing import (
-    DeflectionRouting,
-    DimensionOrderRouting,
-    RoutingAlgorithm,
-    StaticMinimalRouting,
-    UGALRouting,
-    ValiantRouting,
-    XYAdaptiveRouting,
-    default_routing,
-)
-from ..sim import NoCSimulator, SimConfig, SimResult
+from ..sim.config import SimConfig
+from ..sim.result import SimResult
 from ..topos.base import Topology
-from ..traffic import (
-    WORKLOADS,
-    BurstSource,
-    HotspotSource,
-    SyntheticSource,
-    TransientSource,
-    WorkloadSource,
-)
+from ..traffic.workloads import WORKLOADS
+
+if TYPE_CHECKING:
+    from ..routing import RoutingAlgorithm
 
 #: Bump when the *meaning* of a spec changes (e.g. a simulator fix that
 #: alters results for identical inputs) so stale cache entries miss.
@@ -97,16 +85,19 @@ LEGACY_ROUTINGS = frozenset(
 #: :func:`repro.engine.runner.ExperimentEngine.run`).
 FINGERPRINT_PREFIX = "fp:"
 
-#: Routing schemes a worker process can rebuild by name.
+#: Routing schemes a worker process can rebuild by name.  ``_routing`` is
+#: the lazy package, so the algorithms load when a spec first executes.
 ROUTING_BUILDERS = {
-    "default": lambda topo: default_routing(topo),
-    "minimal": lambda topo: StaticMinimalRouting(topo, num_vcs=max(2, topo.diameter)),
-    "dor": lambda topo: DimensionOrderRouting(topo),
-    "valiant": lambda topo: ValiantRouting(topo),
-    "ugal-l": lambda topo: UGALRouting(topo, global_info=False),
-    "ugal-g": lambda topo: UGALRouting(topo, global_info=True),
-    "deflect": lambda topo: DeflectionRouting(topo),
-    "xy-adapt": lambda topo: XYAdaptiveRouting(topo),
+    "default": lambda topo: _routing.default_routing(topo),
+    "minimal": lambda topo: _routing.StaticMinimalRouting(
+        topo, num_vcs=max(2, topo.diameter)
+    ),
+    "dor": lambda topo: _routing.DimensionOrderRouting(topo),
+    "valiant": lambda topo: _routing.ValiantRouting(topo),
+    "ugal-l": lambda topo: _routing.UGALRouting(topo, global_info=False),
+    "ugal-g": lambda topo: _routing.UGALRouting(topo, global_info=True),
+    "deflect": lambda topo: _routing.DeflectionRouting(topo),
+    "xy-adapt": lambda topo: _routing.XYAdaptiveRouting(topo),
 }
 
 
@@ -191,6 +182,8 @@ class SyntheticTraffic:
         return {"kind": self.kind, "pattern": self.pattern, "load": self.load}
 
     def build(self, topology: Topology, packet_flits: int, seed: int):
+        from ..traffic.synthetic import SyntheticSource
+
         return SyntheticSource(
             topology, self.pattern, self.load, packet_flits, seed=seed
         )
@@ -240,6 +233,8 @@ class BurstTraffic:
         }
 
     def build(self, topology: Topology, packet_flits: int, seed: int):
+        from ..traffic.nonstationary import BurstSource
+
         return BurstSource(
             topology,
             self.pattern,
@@ -293,6 +288,8 @@ class HotspotTraffic:
         }
 
     def build(self, topology: Topology, packet_flits: int, seed: int):
+        from ..traffic.nonstationary import HotspotSource
+
         return HotspotSource(
             topology,
             self.pattern,
@@ -343,6 +340,8 @@ class TransientTraffic:
         }
 
     def build(self, topology: Topology, packet_flits: int, seed: int):
+        from ..traffic.nonstationary import TransientSource
+
         return TransientSource(
             topology,
             self.patterns,
@@ -392,6 +391,8 @@ class WorkloadTraffic:
         }
 
     def build(self, topology: Topology, packet_flits: int, seed: int):
+        from ..traffic.workloads import WorkloadSource
+
         return WorkloadSource(
             topology, self.bench, seed=seed, intensity_scale=self.intensity_scale
         )
@@ -551,6 +552,8 @@ class ExperimentSpec:
         ``topology`` short-circuits token resolution and is mandatory for
         fingerprint specs.
         """
+        from ..sim.network import NoCSimulator
+
         topo = topology
         if topo is None:
             topo = resolve_topology(self.topology, self.layout)

@@ -1,18 +1,32 @@
-"""Routing: minimal tables, deadlock-free VC schedules, adaptive UGAL."""
+"""Routing: minimal tables, deadlock-free VC schedules, adaptive UGAL.
 
-from .algorithms import (
-    DeflectionRouting,
-    DimensionOrderRouting,
-    QueueOracle,
-    Route,
-    RoutingAlgorithm,
-    StaticMinimalRouting,
-    UGALRouting,
-    ValiantRouting,
-    XYAdaptiveRouting,
-    ZeroQueues,
-)
-from .paths import MinimalPaths
+:mod:`.paths` (all-pairs minimal paths, which the power model also
+reads) loads without :mod:`.algorithms`; the names below resolve on
+first access (see :mod:`repro._lazy`).
+"""
+
+from .._lazy import lazy_exports
+
+#: Public name -> defining submodule, grouped by submodule; resolved on
+#: first access (see :mod:`repro._lazy`).
+_EXPORTS = {
+    ".algorithms": (
+        "DeflectionRouting",
+        "DimensionOrderRouting",
+        "QueueOracle",
+        "Route",
+        "RoutingAlgorithm",
+        "StaticMinimalRouting",
+        "UGALRouting",
+        "ValiantRouting",
+        "XYAdaptiveRouting",
+        "ZeroQueues",
+        "default_routing",
+    ),
+    ".paths": ("MinimalPaths",),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "MinimalPaths",
@@ -26,40 +40,5 @@ __all__ = [
     "DeflectionRouting",
     "QueueOracle",
     "ZeroQueues",
+    "default_routing",
 ]
-
-
-def default_routing(topology, num_vcs: int | None = None) -> RoutingAlgorithm:
-    """The paper's default router for a topology.
-
-    Grid networks (mesh/torus) use dimension-order XY with dateline VCs;
-    everything else uses deterministic minimal routing with hop-index VCs
-    sized to the diameter (2 for SN and FBF, up to 4 for PFBF).
-    """
-    from ..topos.grids import _GridTopology
-
-    if isinstance(topology, _GridTopology) and not _has_express_links(topology):
-        return DimensionOrderRouting(topology, num_vcs=num_vcs or 2)
-    vcs = num_vcs if num_vcs is not None else max(2, topology.diameter)
-    return StaticMinimalRouting(topology, num_vcs=vcs)
-
-
-def _has_express_links(topology) -> bool:
-    """FBF/PFBF are grid-shaped but have non-neighbor links."""
-    for i, j in topology.edges():
-        xi, yi = topology.coordinates[i]
-        xj, yj = topology.coordinates[j]
-        if abs(xi - xj) + abs(yi - yj) > 1 and not _is_wrap(topology, i, j):
-            return True
-    return False
-
-
-def _is_wrap(topology, i: int, j: int) -> bool:
-    from ..topos.grids import Torus2D
-
-    if not isinstance(topology, Torus2D):
-        return False
-    xi, yi = topology.position_of(i)
-    xj, yj = topology.position_of(j)
-    dx, dy = abs(xi - xj), abs(yi - yj)
-    return dx in (0, topology.cols - 1) and dy in (0, topology.rows - 1)

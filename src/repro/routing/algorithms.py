@@ -374,3 +374,35 @@ class DeflectionRouting(RoutingAlgorithm):
             if key < best_key:
                 best, best_key = candidate, key
         return Route(best, self._ascending_vcs(best))
+
+
+def default_routing(topology, num_vcs: int | None = None) -> RoutingAlgorithm:
+    """The paper's default router for a topology.
+
+    Grid networks (mesh/torus) use dimension-order XY with dateline VCs;
+    everything else uses deterministic minimal routing with hop-index VCs
+    sized to the diameter (2 for SN and FBF, up to 4 for PFBF).
+    """
+    if isinstance(topology, _GridTopology) and not _has_express_links(topology):
+        return DimensionOrderRouting(topology, num_vcs=num_vcs or 2)
+    vcs = num_vcs if num_vcs is not None else max(2, topology.diameter)
+    return StaticMinimalRouting(topology, num_vcs=vcs)
+
+
+def _has_express_links(topology) -> bool:
+    """FBF/PFBF are grid-shaped but have non-neighbor links."""
+    for i, j in topology.edges():
+        xi, yi = topology.coordinates[i]
+        xj, yj = topology.coordinates[j]
+        if abs(xi - xj) + abs(yi - yj) > 1 and not _is_wrap(topology, i, j):
+            return True
+    return False
+
+
+def _is_wrap(topology, i: int, j: int) -> bool:
+    if not isinstance(topology, Torus2D):
+        return False
+    xi, yi = topology.position_of(i)
+    xj, yj = topology.position_of(j)
+    dx, dy = abs(xi - xj), abs(yi - yj)
+    return dx in (0, topology.cols - 1) and dy in (0, topology.rows - 1)

@@ -2,12 +2,14 @@
 
 The scalar event-driven core (:mod:`.network`) is the bit-identical
 reference; :mod:`.batch` steps whole campaign grids in NumPy lockstep.
-NumPy stays an optional dependency, and it loads only with the batch
-tier: the names below resolve on first access, so importing
-``repro.sim`` (or ``SimConfig``, ``NoCSimulator``, ``SimResult``) never
-imports :mod:`.batch`.  The first access to a batch name — in practice,
-the engine dispatching misses with ``executor="batch"``/``"auto"`` —
-imports it, and it imports NumPy if installed.
+:class:`SimResult` lives in :mod:`.result`, so decoding a cached result
+loads neither.  NumPy stays an optional dependency, and it loads only
+with the batch tier: the names below resolve on first access, so
+importing ``repro.sim`` (or ``SimConfig``, ``NoCSimulator``,
+``SimResult``) never imports :mod:`.batch`.  The first access to a batch
+name — in practice, the engine dispatching misses with
+``executor="batch"``/``"auto"`` — imports it, and it imports NumPy if
+installed.
 """
 
 from .._lazy import lazy_exports
@@ -33,8 +35,9 @@ _EXPORTS = {
         "el_links",
     ),
     ".links": ("CreditLink", "ElasticLink", "link_latency"),
-    ".network": ("NoCSimulator", "SimResult"),
+    ".network": ("NoCSimulator",),
     ".packet": ("Flit", "Packet"),
+    ".result": ("SimResult",),
 }
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

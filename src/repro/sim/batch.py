@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 
 from ..routing import DimensionOrderRouting, RoutingAlgorithm, StaticMinimalRouting
 from .config import SimConfig
-from .network import LATENCY_HISTOGRAM_THRESHOLD, SimResult
+from .result import LATENCY_HISTOGRAM_THRESHOLD, SimResult
 from .state import NetworkState
 
 try:  # optional extra — everything below guards on ``np is None``

@@ -1,10 +1,13 @@
 """Import layering: each entry path loads only what it runs.
 
 The package ``__init__`` modules resolve their public names lazily
-(:mod:`repro._lazy`), so a cached CLI sweep never loads NumPy, the batch
-tier, the network-store clients, the work queue, or the process pool.
-The hygiene check runs in a fresh interpreter, since this test process
-has long since imported everything.
+(:mod:`repro._lazy`), and the simulator, routing algorithms and traffic
+sources are imported where a spec executes.  A fully cached CLI call
+therefore loads no simulator, no routing algorithm, no NumPy, batch
+tier, network-store client, work queue or process pool, and does not
+read the cost-calibration table.  The hygiene checks run in fresh
+interpreters, since this test process has long since imported
+everything.
 """
 
 import importlib
@@ -25,10 +28,22 @@ LAZY_PACKAGES = (
     "repro.engine",
     "repro.engine.store",
     "repro.analysis",
+    "repro.traffic",
+    "repro.routing",
 )
 
-#: Modules that a cached ``sweep`` on the default pool executor must not load.
-UNUSED_ON_WARM_PATH = (
+#: The scalar simulator and what only an executing spec uses.
+SIMULATOR = (
+    "repro.sim.network",
+    "repro.sim.links",
+    "repro.sim.packet",
+    "repro.sim.state",
+    "repro.routing.algorithms",
+    "repro.traffic.nonstationary",
+)
+
+#: Tiers that a cached call on the default pool executor never uses.
+OTHER_TIERS = (
     "numpy",
     "repro.sim.batch",
     "repro.engine.batching",
@@ -38,20 +53,43 @@ UNUSED_ON_WARM_PATH = (
     "repro.engine.store.faulty",
     "repro.engine.queue",
     "repro.engine.worker",
-    "concurrent.futures.process",
+    "repro.perf",
+    "concurrent.futures",
 )
 
-HYGIENE_SCRIPT = """
+#: The power model, which only ``workloads`` reads (its EDP join).
+POWER = ("repro.power",)
+
+#: Modules that a cached ``sweep``/``compare`` must not load.
+UNUSED_ON_WARM_PATH = SIMULATOR + OTHER_TIERS + POWER
+
+WINDOW = ["--warmup", "50", "--measure", "100", "--drain", "200", "--quiet"]
+LOADS = ["--loads", "0.02,0.05", "--no-stop"]
+CLI_CALLS = {
+    "sweep": ["sweep", "sn54", *LOADS, *WINDOW],
+    "compare": ["compare", "sn54", "cm54", *LOADS, *WINDOW],
+    "workloads": ["workloads", "sn54", "--benches", "barnes,fft", *WINDOW],
+}
+
+PRELUDE = """
 import contextlib, io, json, sys
 
-UNUSED = json.loads(sys.argv[1])
-SWEEP = ["sweep", "sn54", "--loads", "0.02,0.05", "--no-stop", "--quiet",
-         "--warmup", "50", "--measure", "100", "--drain", "200"]
+ARGS = json.loads(sys.argv[1])
 loaded = {}
 
-def check(point):
-    loaded[point] = [name for name in UNUSED if name in sys.modules]
+def check(point, modules=ARGS["unused"]):
+    loaded[point] = [name for name in modules if name in sys.modules]
 
+def run(name, store="pool", extra=()):
+    from repro.__main__ import main
+    argv = ARGS["calls"][name] + ["--cache-dir", store, *extra]
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+"""
+
+COLD_SCRIPT = (
+    PRELUDE
+    + """
 import repro.__main__
 check("import repro.__main__")
 
@@ -59,46 +97,103 @@ import repro.analysis
 from repro.engine import ExperimentEngine, ResultCache
 check("cold-campaign set-up")
 
-from repro.__main__ import main
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(SWEEP + ["--cache-dir", "pool"]) for _ in range(2)]
-check("warm sweep")
+codes = [run(name) for name in ARGS["calls"]]
+check("cold miss", ["repro.sim.network"])
 
-batch = ["--cache-dir", "batch", "--executor", "batch"]
 try:
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(main(SWEEP + batch))
+    codes.append(run("sweep", store="batch", extra=["--executor", "batch"]))
 except RuntimeError:  # BatchUnavailableError: no NumPy here
     codes.append(None)
 print(json.dumps({"codes": codes, "loaded": loaded,
                   "batch_tier": "repro.sim.batch" in sys.modules}))
 """
+)
+
+WARM_SCRIPT = (
+    PRELUDE
+    + """
+codes = []
+for name in ARGS["warm"]:
+    codes.append(run(name))
+    unused = ARGS["unused"]
+    if name == "workloads":
+        unused = [m for m in unused if m not in ARGS["power"]]
+    check("warm " + name, unused)
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+)
 
 
-def test_cached_cli_and_campaign_setup_skip_unused_tiers(tmp_path):
+def _fresh_interpreter(script, cwd, calibration, warm=()):
+    """Run ``script`` in a new interpreter; ``warm`` names the CLI calls
+    that :data:`WARM_SCRIPT` replays."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = str(SRC)
-    env["REPRO_CALIBRATION"] = str(tmp_path / "calibration.json")
+    env["REPRO_CALIBRATION"] = str(calibration)
+    args = {
+        "unused": UNUSED_ON_WARM_PATH,
+        "power": POWER,
+        "calls": CLI_CALLS,
+        "warm": list(warm),
+    }
     proc = subprocess.run(
-        [sys.executable, "-c", HYGIENE_SCRIPT, json.dumps(UNUSED_ON_WARM_PATH)],
-        cwd=tmp_path,
+        [sys.executable, "-c", script, json.dumps(args)],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=180,
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["loaded"] == {
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def warm_store(tmp_path_factory):
+    """A store that every cached call below hits in full, plus the report
+    of the cold interpreter that filled it."""
+    root = tmp_path_factory.mktemp("imports")
+    report = _fresh_interpreter(COLD_SCRIPT, root, root / "calibration.json")
+    return root, report
+
+
+def test_cached_cli_and_campaign_setup_skip_unused_tiers(warm_store):
+    root, cold = warm_store
+    assert cold["loaded"] == {
         "import repro.__main__": [],
         "cold-campaign set-up": [],
-        "warm sweep": [],
+        # A miss executes its spec: the simulator loads there.
+        "cold miss": ["repro.sim.network"],
     }
     # The batch tier is still reachable: ``--executor batch`` loads it,
     # and runs wherever NumPy is installed.
-    assert report["batch_tier"]
+    assert cold["batch_tier"]
     has_numpy = importlib.util.find_spec("numpy") is not None
-    assert report["codes"] == [0, 0, 0 if has_numpy else None]
+    assert cold["codes"] == [0, 0, 0, 0 if has_numpy else None]
+
+    warm = _fresh_interpreter(
+        WARM_SCRIPT,
+        root,
+        root / "calibration.json",
+        warm=("sweep", "compare", "workloads"),
+    )
+    assert warm["codes"] == [0, 0, 0]
+    assert warm["loaded"] == {
+        "warm sweep": [],
+        "warm compare": [],
+        "warm workloads": [],
+    }
+
+
+def test_cached_sweep_leaves_calibration_unread(warm_store):
+    """With no calibration file the table would seed itself from the
+    perf baseline; a fully cached call never needs the table."""
+    root, _ = warm_store
+    calibration = root / "fresh" / "calibration.json"
+    report = _fresh_interpreter(WARM_SCRIPT, root, calibration, warm=("sweep",))
+    assert report["codes"] == [0]
+    assert report["loaded"] == {"warm sweep": []}
+    assert not calibration.exists()
 
 
 def _exports(package):

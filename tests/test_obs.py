@@ -21,10 +21,12 @@ from repro.engine import (
 )
 from repro.engine.spec import iter_spec_keys, predicted_cost
 from repro.obs import (
+    CALIBRATION_ENV,
     CostCalibration,
     ProgressLine,
     bucket_key,
     configure_logging,
+    default_calibration,
     format_duration,
     get_logger,
     seed_from_perf_baseline,
@@ -239,6 +241,21 @@ class TestCalibration:
         assert len(table) > 0
         # Seeding is derivable from the committed baseline — nothing to save.
         assert not table.dirty
+
+    def test_default_table_is_read_or_seeded_on_first_use(self, tmp_path, monkeypatch):
+        path = tmp_path / "cal.json"
+        monkeypatch.setenv(CALIBRATION_ENV, str(path))
+        table = default_calibration(refresh=True)
+        # Written after the table was handed out: it is read on first use.
+        saved = CostCalibration(path=path)
+        saved.observe(54, 600, 0.05, 2.0)
+        saved.save()
+        assert table.seconds_for(54, 600, 0.05) == pytest.approx(2.0)
+        assert len(table) == 1 and not table.dirty
+
+        monkeypatch.setenv(CALIBRATION_ENV, str(tmp_path / "absent.json"))
+        seeded = default_calibration(refresh=True)
+        assert len(seeded) > 0 and not seeded.dirty
 
     def test_zero_or_negative_observations_ignored(self, tmp_path):
         table = CostCalibration(path=tmp_path / "cal.json")

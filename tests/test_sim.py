@@ -302,21 +302,21 @@ class TestReplies:
 
 class TestSimResult:
     def test_empty_latency_is_nan(self):
-        from repro.sim.network import SimResult
+        from repro.sim.result import SimResult
 
         res = SimResult(0.1, 100, 0, 0, 0, [], 200, 100, 0)
         assert res.avg_latency != res.avg_latency  # NaN
         assert not res.saturated
 
     def test_p99(self):
-        from repro.sim.network import SimResult
+        from repro.sim.result import SimResult
 
         res = SimResult(0.1, 100, 100, 100, 600, list(range(100)), 200, 100, 0)
         assert res.p99_latency >= 98
 
     def test_repeated_percentile_access_does_not_resort(self):
         """p99 sorts once; further accesses reuse the cached order."""
-        from repro.sim.network import SimResult
+        from repro.sim.result import SimResult
 
         res = SimResult(0.1, 100, 100, 100, 600, [5, 1, 9, 3] * 30, 200, 100, 0)
         first = res.sorted_latencies
