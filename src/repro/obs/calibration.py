@@ -30,6 +30,7 @@ no local table, so they stay on the seeded/heuristic path.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -211,18 +212,16 @@ class _DeferredCalibration(CostCalibration):
     """
 
     def __init__(self, path: Path):
+        # The base ``__init__`` would set ``buckets`` and so load nothing.
         self.path = path
         self.dirty = False
 
-    def __getattr__(self, name: str):
-        # Reached only while ``buckets`` is unset, i.e. on first use.
-        if name != "buckets":
-            raise AttributeError(name)
+    @functools.cached_property
+    def buckets(self) -> dict[str, dict[str, float]]:
         table = CostCalibration.load(self.path)
         if not table.buckets:
             seed_from_perf_baseline(table)
-        self.buckets = table.buckets
-        return self.buckets
+        return table.buckets
 
 
 _DEFAULT: dict[str, CostCalibration] = {}

@@ -42,8 +42,9 @@ SIMULATOR = (
     "repro.traffic.nonstationary",
 )
 
-#: Tiers that a cached call on the default pool executor never uses.
-OTHER_TIERS = (
+#: Tiers that a serial run on the default pool executor never uses, even
+#: when it simulates.
+UNUSED_ON_POOL_PATH = (
     "numpy",
     "repro.sim.batch",
     "repro.engine.batching",
@@ -53,15 +54,17 @@ OTHER_TIERS = (
     "repro.engine.store.faulty",
     "repro.engine.queue",
     "repro.engine.worker",
-    "repro.perf",
-    "concurrent.futures",
+    "concurrent.futures.process",
 )
+
+#: What only a miss reads: the calibration seed and the pool's waiter.
+MISS_ONLY = ("repro.perf", "concurrent.futures")
 
 #: The power model, which only ``workloads`` reads (its EDP join).
 POWER = ("repro.power",)
 
 #: Modules that a cached ``sweep``/``compare`` must not load.
-UNUSED_ON_WARM_PATH = SIMULATOR + OTHER_TIERS + POWER
+UNUSED_ON_WARM_PATH = SIMULATOR + UNUSED_ON_POOL_PATH + MISS_ONLY + POWER
 
 WINDOW = ["--warmup", "50", "--measure", "100", "--drain", "200", "--quiet"]
 LOADS = ["--loads", "0.02,0.05", "--no-stop"]
@@ -99,6 +102,7 @@ check("cold-campaign set-up")
 
 codes = [run(name) for name in ARGS["calls"]]
 check("cold miss", ["repro.sim.network"])
+check("cold miss tiers", ARGS["pool_unused"])
 
 try:
     codes.append(run("sweep", store="batch", extra=["--executor", "batch"]))
@@ -133,6 +137,7 @@ def _fresh_interpreter(script, cwd, calibration, warm=()):
     args = {
         "unused": UNUSED_ON_WARM_PATH,
         "power": POWER,
+        "pool_unused": UNUSED_ON_POOL_PATH,
         "calls": CLI_CALLS,
         "warm": list(warm),
     }
@@ -164,6 +169,7 @@ def test_cached_cli_and_campaign_setup_skip_unused_tiers(warm_store):
         "cold-campaign set-up": [],
         # A miss executes its spec: the simulator loads there.
         "cold miss": ["repro.sim.network"],
+        "cold miss tiers": [],
     }
     # The batch tier is still reachable: ``--executor batch`` loads it,
     # and runs wherever NumPy is installed.
