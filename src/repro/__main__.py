@@ -41,14 +41,12 @@ zero new simulations — every point is served from the cache.  Stores
 are pluggable through explicit ``--cache-dir`` location schemes:
 ``dir:PATH`` (or a plain directory path) keeps the JSON tree,
 ``sqlite:PATH`` packs the store into one WAL-mode SQLite file,
-``http://host:port`` talks to a ``repro serve`` endpoint
-(``REPRO_CACHE_TOKEN`` supplies the bearer token when required), and
-``s3://bucket/prefix`` / ``obj:http://host:port/bucket/prefix`` write
-straight into an object-store bucket (boto3 for real S3, or any
-S3-compatible endpoint named by ``REPRO_OBJECT_ENDPOINT`` — no
-coordinator host at all).  The historical suffix-sniffed forms
-(``*.sqlite``/``*.db``/``*.pack`` paths, ``REPRO_CACHE_BACKEND=sqlite``)
-keep working as deprecated aliases that log a one-line warning.
+and ``http://host:port`` talks to a ``repro serve`` endpoint
+(``REPRO_CACHE_TOKEN`` supplies the bearer token when required); any
+other ``scheme://`` location is an error.  The historical suffix-sniffed
+forms (``*.sqlite``/``*.db``/``*.pack`` paths,
+``REPRO_CACHE_BACKEND=sqlite``) keep working as deprecated aliases that
+log a one-line warning.
 
 Campaigns too large for one machine split with ``--shard INDEX/COUNT``
 (disjoint, covering, stable under reordering; ``--shard-balance cost``
@@ -434,10 +432,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         default=None,
         help="result store: a cache directory (default .repro_cache), a "
-        "sqlite:/dir: URL, an http:// 'repro serve' endpoint, or an "
-        "s3://bucket/prefix / obj:http://host:port/bucket/prefix "
-        "object-store bucket (.sqlite/.db/.pack paths still work as "
-        "deprecated aliases)",
+        "sqlite:/dir: URL, or an http:// 'repro serve' endpoint "
+        "(.sqlite/.db/.pack paths still work as deprecated aliases)",
     )
     parser.add_argument(
         "--shard",
@@ -665,8 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         metavar="STORE",
         help="export: one destination store; merge: source stores to "
-        "copy in (directories, sqlite:/dir: URLs, http:// endpoints, "
-        "or s3://bucket/prefix buckets)",
+        "copy in (directories, sqlite:/dir: URLs, or http:// endpoints)",
     )
     cache.add_argument("--cache-dir", default=None)
     cache.add_argument(

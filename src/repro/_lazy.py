@@ -6,8 +6,8 @@ repro.engine`` then loads nothing but that table; the first access to
 ``repro.engine.ExperimentEngine`` (attribute access, ``from repro.engine
 import ExperimentEngine``, or ``from repro.engine import *``) imports
 only ``repro.engine.runner``.  Each entry point thus pays for the
-modules it uses: a cached CLI sweep never loads NumPy, the HTTP and
-object-store clients, or the work queue.
+modules it uses: a cached CLI sweep never loads NumPy, the HTTP store
+client, or the work queue.
 
 Names are not cached in the package namespace: every access reads the
 defining submodule, so a later rebinding there (a test's monkeypatch, a

@@ -119,8 +119,6 @@ _EXPORTS = {
         "InjectedFault",
         "LocalDirStore",
         "MergeReport",
-        "ObjectStore",
-        "ObjectStoreError",
         "RemoteAuthError",
         "RemoteStore",
         "RemoteStoreError",
@@ -149,8 +147,6 @@ __all__ = [
     "QueueClient",
     "QueueJob",
     "QueueWorker",
-    "ObjectStore",
-    "ObjectStoreError",
     "SqlitePackStore",
     "RemoteStore",
     "RemoteStoreError",

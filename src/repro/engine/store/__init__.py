@@ -22,23 +22,15 @@ results merged back into a single store:
   engine-facing wrapper adding the SimResult codec, hit counters,
   batched ``get_many``/``put_many``, and the ``REPRO_CACHE_MAX_BYTES``
   auto-GC;
-* :mod:`~repro.engine.store.objectstore` — :class:`ObjectStore`, the
-  same content-addressed layout as object keys in an S3-style bucket
-  (``s3://`` via the optional boto3 extra, or any S3-compatible HTTP
-  endpoint with zero extra dependencies) — the serverless rendezvous:
-  shards write straight into a shared bucket, no coordinator host;
-* :mod:`~repro.engine.store.fakebucket` — :class:`FakeBucketServer`,
-  the local stdlib bucket server tests and CI run the object store
-  against;
 * :mod:`~repro.engine.store.faulty` — :class:`FaultyBackend`, a
   deterministic fault-injection wrapper around any backend (chaos
   tests for the engine's write-back and the queue's retry paths).
 
 Backends are selected by an explicit location scheme (``dir:``,
-``sqlite:``, ``http://``/``https://``, ``s3://``/``obj:``) through
-:func:`open_backend`'s scheme registry; the historical suffix-sniffing
-forms (``*.sqlite``/``*.db``/``*.pack`` paths,
-``REPRO_CACHE_BACKEND=sqlite`` on a plain path) keep working as
+``sqlite:``, ``http://``/``https://``) through :func:`open_backend`'s
+scheme registry, and any other ``<scheme>://`` location is rejected.
+The historical suffix-sniffing forms (``*.sqlite``/``*.db``/``*.pack``
+paths, ``REPRO_CACHE_BACKEND=sqlite`` on a plain path) keep working as
 deprecated aliases that log a one-line warning.  Iteration over any
 backend is **cursored**: ``iter_keys(start_after, limit)`` returns one
 bounded sorted page, and the maintenance paths (``stats``/``gc``/
@@ -77,7 +69,6 @@ _EXPORTS = {
         "merge_stores",
         "open_backend",
     ),
-    ".fakebucket": ("FakeBucketServer",),
     ".faulty": ("DEFAULT_FAILABLE_OPS", "FaultyBackend", "InjectedFault"),
     ".frontend": ("ResultCache",),
     ".http": (
@@ -88,17 +79,6 @@ _EXPORTS = {
         "StoreServer",
     ),
     ".localdir": ("LocalDirStore",),
-    ".objectstore": (
-        "DEFAULT_FANOUT",
-        "ENDPOINT_ENV",
-        "Boto3Transport",
-        "HTTPTransport",
-        "MemoryTransport",
-        "ObjectStore",
-        "ObjectStoreError",
-        "ObjectTransport",
-        "open_object_store",
-    ),
     ".sqlite": ("SqlitePackStore",),
 }
 
@@ -109,10 +89,8 @@ __all__ = [
     "CACHE_DIR_ENV",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_FAILABLE_OPS",
-    "DEFAULT_FANOUT",
     "DEFAULT_KEY_BATCH",
     "DEFAULT_PORT",
-    "ENDPOINT_ENV",
     "MAX_BYTES_ENV",
     "PACK_SUFFIXES",
     "PROTOCOL_VERSION",
@@ -120,20 +98,13 @@ __all__ = [
     "SCHEMA_VERSION",
     "SCHEME_REGISTRY",
     "TOKEN_ENV",
-    "Boto3Transport",
     "CacheBackend",
     "CacheStats",
-    "FakeBucketServer",
     "FaultyBackend",
     "GCReport",
-    "HTTPTransport",
     "InjectedFault",
     "LocalDirStore",
-    "MemoryTransport",
     "MergeReport",
-    "ObjectStore",
-    "ObjectStoreError",
-    "ObjectTransport",
     "RawEntry",
     "RemoteAuthError",
     "RemoteStore",
@@ -148,5 +119,4 @@ __all__ = [
     "iter_key_pages",
     "merge_stores",
     "open_backend",
-    "open_object_store",
 ]

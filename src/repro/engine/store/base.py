@@ -73,7 +73,7 @@ checks:
   paging loop for callers that want a lazy stream.  Maintenance paths
   (``stats``/``gc``/:func:`merge_stores`/``cache export``) must stream
   over cursors — per-page content in memory, never the whole store;
-  backends with an index (SQL, object listings) page natively, and the
+  backends with an index (the SQLite pack) page natively, and the
   directory store walks shard directories in sorted order.
 * **``stats`` counters stay zero.**  ``hits``/``misses`` belong to the
   :class:`~repro.engine.store.frontend.ResultCache` front end; backends
@@ -82,11 +82,12 @@ checks:
   path.
 
 Backends are selected by :func:`open_backend` through an explicit
-scheme registry (``dir:`` | ``sqlite:`` | ``http:``/``https:`` |
-``s3:``/``obj:``); the historical suffix-sniffing forms (a bare
-``*.sqlite``/``*.db``/``*.pack`` path, ``REPRO_CACHE_BACKEND=sqlite``
-rewriting a plain directory) keep working as deprecated aliases that
-log a one-line warning on the ``repro.engine.store`` logger.
+scheme registry (``dir:`` | ``sqlite:`` | ``http:``/``https:``), and a
+``<scheme>://`` location outside it is rejected; the historical
+suffix-sniffing forms (a bare ``*.sqlite``/``*.db``/``*.pack`` path,
+``REPRO_CACHE_BACKEND=sqlite`` rewriting a plain directory) keep
+working as deprecated aliases that log a one-line warning on the
+``repro.engine.store`` logger.
 """
 
 from __future__ import annotations
@@ -409,12 +410,6 @@ def _open_remote_scheme(text: str, rest: str) -> CacheBackend:
     return RemoteStore(text)
 
 
-def _open_object_scheme(text: str, rest: str) -> CacheBackend:
-    from .objectstore import open_object_store
-
-    return open_object_store(text)
-
-
 #: Explicit location-scheme registry: ``<scheme>:`` prefix -> opener
 #: taking ``(full_location_text, text_after_colon)``.  This is the one
 #: dispatch table for backend selection; everything below it in
@@ -424,8 +419,6 @@ SCHEME_REGISTRY: dict[str, Callable[[str, str], CacheBackend]] = {
     "sqlite": _open_sqlite_scheme,
     "http": _open_remote_scheme,
     "https": _open_remote_scheme,
-    "s3": _open_object_scheme,
-    "obj": _open_object_scheme,
 }
 
 #: Deprecated location forms already warned about this process (the
@@ -455,11 +448,11 @@ def open_backend(location: str | os.PathLike | None = None) -> CacheBackend:
     * ``http://`` / ``https://`` URLs — a
       :class:`~repro.engine.store.http.RemoteStore` client against a
       ``python -m repro serve`` endpoint (bearer token from
-      ``REPRO_CACHE_TOKEN``);
-    * ``s3://bucket/prefix`` / ``obj:http://host:port/bucket/prefix`` —
-      an :class:`~repro.engine.store.objectstore.ObjectStore` (boto3
-      for real S3, the stdlib transport against ``REPRO_OBJECT_ENDPOINT``
-      or an ``obj:``-wrapped URL).
+      ``REPRO_CACHE_TOKEN``).
+
+    Any other ``<scheme>://`` location raises :class:`ValueError`
+    naming the registered schemes, rather than becoming a relative
+    directory named after the URL.
 
     A plain path is a cache directory — the canonical scheme-less form.
     Two historical aliases keep working but log a one-line deprecation
@@ -476,6 +469,11 @@ def open_backend(location: str | os.PathLike | None = None) -> CacheBackend:
     scheme, sep, rest = text.partition(":")
     if sep and scheme.lower() in SCHEME_REGISTRY:
         return SCHEME_REGISTRY[scheme.lower()](text, rest)
+    if sep and rest.startswith("//"):
+        raise ValueError(
+            f"unknown store location scheme {scheme!r} in {text!r}; "
+            f"registered schemes: {', '.join(sorted(SCHEME_REGISTRY))}"
+        )
     path = Path(text)
     if path.suffix in PACK_SUFFIXES:
         _warn_deprecated(

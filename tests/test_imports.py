@@ -49,8 +49,6 @@ UNUSED_ON_POOL_PATH = (
     "repro.sim.batch",
     "repro.engine.batching",
     "repro.engine.store.http",
-    "repro.engine.store.objectstore",
-    "repro.engine.store.fakebucket",
     "repro.engine.store.faulty",
     "repro.engine.queue",
     "repro.engine.worker",

@@ -32,16 +32,10 @@ from repro.engine.spec import iter_spec_keys
 from repro.engine.store import (
     DEFAULT_KEY_BATCH,
     SCHEMA_VERSION,
-    FakeBucketServer,
-    HTTPTransport,
-    MemoryTransport,
-    ObjectStore,
-    ObjectStoreError,
     RawEntry,
     encode_entry,
     iter_all_keys,
     iter_key_pages,
-    open_object_store,
 )
 from repro.engine.store import base as base_module
 from repro.engine.store import http as http_module
@@ -71,21 +65,15 @@ def remote_store(server, **overrides):
     return RemoteStore(server.url, **kw)
 
 
-@pytest.fixture(params=["dir", "sqlite", "remote", "object"])
+@pytest.fixture(params=["dir", "sqlite", "remote"])
 def backend(request, tmp_path):
     """Every store implementation, including the HTTP client against a
-    live ephemeral-port server and the object store against a live fake
-    bucket — the wire protocols pass the same equivalence suite the
-    local backends do."""
+    live ephemeral-port server — the wire protocol passes the same
+    equivalence suite the local backends do."""
     if request.param == "dir":
         yield LocalDirStore(tmp_path / "store")
     elif request.param == "sqlite":
         yield SqlitePackStore(tmp_path / "store.sqlite")
-    elif request.param == "object":
-        with FakeBucketServer() as bucket:
-            store = ObjectStore(HTTPTransport(bucket.url, "tests"), prefix="repro")
-            yield store
-            store.close()
     else:
         with StoreServer(
             SqlitePackStore(tmp_path / "store.sqlite"), quiet=True
@@ -334,11 +322,11 @@ class TestBackendCrossEquivalence:
             open_backend(f"sqlite:{tmp_path}/url"), SqlitePackStore
         )
         assert isinstance(open_backend(f"dir:{tmp_path}/x.sqlite"), LocalDirStore)
-        monkeypatch.setenv("REPRO_OBJECT_ENDPOINT", "http://127.0.0.1:1")
-        assert isinstance(open_backend("s3://bucket/prefix"), ObjectStore)
-        assert isinstance(
-            open_backend("obj:http://127.0.0.1:1/bucket/prefix"), ObjectStore
-        )
+        # An unregistered URL scheme is an error, never a relative
+        # directory named after the URL.
+        for location in ("s3://bucket/prefix", "gs://bucket/x", "ftp://host/x"):
+            with pytest.raises(ValueError, match="registered schemes: dir"):
+                open_backend(location)
         monkeypatch.setenv("REPRO_CACHE_BACKEND", "sqlite")
         packed = open_backend(tmp_path / "plain")
         assert isinstance(packed, SqlitePackStore)
@@ -418,14 +406,22 @@ class TestMerge:
         assert b.get_entry(key).entry == ours  # destination wins
 
     def test_merge_preserves_lru_timestamps(self, tmp_path):
+        """dir -> pack -> fresh dir keeps canonical bytes and LRU
+        timestamps on both legs: a merge is a transport, not a
+        transform."""
         a = LocalDirStore(tmp_path / "a")
         b = SqlitePackStore(tmp_path / "b.sqlite")
-        self.fill(a, [0.02])
-        (key,) = a.iter_keys()
+        c = LocalDirStore(tmp_path / "c")
+        self.fill(a, [0.02, 0.08])
+        key = a.iter_keys()[0]
         old = time.time() - 5 * 86400
         set_mtime(a, key, old)
         merge_stores(b, a)
-        assert abs(b.get_entry(key).mtime - old) < 2.0
+        assert merge_stores(c, b).copied == 2
+        for store in (b, c):
+            assert abs(store.get_entry(key).mtime - old) < 2.0
+            for k in a.iter_keys():
+                assert store.get_entry(k).encoded() == a.get_entry(k).encoded()
 
 
 class TestRemoteStore:
@@ -795,129 +791,6 @@ class TestCursoredIteration:
         assert full == sorted(keys + [behind, ahead])
 
 
-class TestObjectStore:
-    """Object-store specifics beyond the shared equivalence suite:
-    location parsing, the bucket wire protocol, and merge transport."""
-
-    @pytest.fixture
-    def bucket(self):
-        with FakeBucketServer() as server:
-            yield server
-
-    def test_obj_location_parsing(self, bucket):
-        store = open_object_store(f"obj:{bucket.url}/ci/campaign")
-        assert isinstance(store, ObjectStore)
-        assert store.prefix == "campaign"
-        store.put_payload("aa" * 32, "sim", {"x": 1})
-        assert store.get_payload("aa" * 32, "sim") == {"x": 1}
-        store.close()
-
-    def test_s3_location_uses_endpoint_env(self, bucket, monkeypatch):
-        monkeypatch.setenv("REPRO_OBJECT_ENDPOINT", bucket.url)
-        store = open_object_store("s3://ci/campaign")
-        store.put_payload("aa" * 32, "sim", {"x": 1})
-        same = open_object_store("s3://ci/campaign")
-        assert same.get_payload("aa" * 32, "sim") == {"x": 1}
-        other_prefix = open_object_store("s3://ci/elsewhere")
-        assert other_prefix.stats().entries == 0
-        for s in (store, same, other_prefix):
-            s.close()
-
-    def test_s3_location_without_boto3_names_the_cure(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBJECT_ENDPOINT", raising=False)
-        import importlib.util
-
-        if importlib.util.find_spec("boto3") is not None:
-            pytest.skip("boto3 installed; the guarded-import path is moot")
-        with pytest.raises(ObjectStoreError, match="REPRO_OBJECT_ENDPOINT"):
-            open_object_store("s3://bucket/prefix")
-
-    def test_bad_locations_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            open_object_store("obj:ftp://host/bucket")
-        with pytest.raises(ValueError):
-            open_object_store("obj:http://127.0.0.1:1/")
-        monkeypatch.setenv("REPRO_OBJECT_ENDPOINT", "http://127.0.0.1:1")
-        with pytest.raises(ValueError):
-            open_object_store("s3://")
-
-    def test_unreachable_endpoint_is_one_clear_error(self):
-        store = open_object_store("obj:http://127.0.0.1:1/ci/campaign")
-        with pytest.raises(ObjectStoreError, match="unreachable"):
-            store.put_payload("aa" * 32, "sim", {"x": 1})
-
-    def test_merge_round_trip_is_byte_identical(self, tmp_path, bucket):
-        """pack -> bucket -> fresh pack preserves canonical bytes and
-        LRU timestamps: the bucket is a transport, not a transform."""
-        source = SqlitePackStore(tmp_path / "src.sqlite")
-        ExperimentEngine(cache=ResultCache(backend=source)).run(
-            [fast_spec(), fast_spec(load=0.08)]
-        )
-        backdated = source.iter_keys()[0]
-        old = time.time() - 3 * 86400
-        source.put_entry(backdated, source.get_entry(backdated).entry, mtime=old)
-
-        remote = ObjectStore(HTTPTransport(bucket.url, "ci"), prefix="campaign")
-        up = merge_stores(remote, source)
-        assert (up.copied, up.conflicts) == (2, 0)
-        out = SqlitePackStore(tmp_path / "out.sqlite")
-        down = merge_stores(out, remote)
-        assert (down.copied, down.conflicts) == (2, 0)
-        for key in source.iter_keys():
-            assert out.get_entry(key).encoded() == source.get_entry(key).encoded()
-        assert abs(out.get_entry(backdated).mtime - old) < 2.0
-        remote.close()
-
-    def test_request_log_shows_batched_puts(self, bucket):
-        store = ObjectStore(HTTPTransport(bucket.url, "ci"), prefix="campaign")
-        store.put_payload_many(
-            [(f"{i:02d}" + "aa" * 31, "sim", {"i": i}, None) for i in range(5)]
-        )
-        puts = [line for line in bucket.request_log if line.startswith("PUT ")]
-        assert len(puts) == 5
-        store.close()
-
-
-class CappedTransport:
-    """Delegating transport that fails the test on any page or batch
-    larger than the cap — the bucket-level batch-size assertion."""
-
-    def __init__(self, inner, cap):
-        self.inner = inner
-        self.cap = cap
-        self.location = inner.location
-        self.max_seen = 0
-
-    def _check(self, n):
-        self.max_seen = max(self.max_seen, n)
-        assert n <= self.cap, f"transport batch of {n} keys exceeds cap {self.cap}"
-
-    def get_many(self, keys):
-        self._check(len(keys))
-        return self.inner.get_many(keys)
-
-    def put_many(self, items):
-        self._check(len(items))
-        return self.inner.put_many(items)
-
-    def touch_many(self, items):
-        self._check(len(items))
-        return self.inner.touch_many(items)
-
-    def delete_many(self, keys):
-        self._check(len(keys))
-        return self.inner.delete_many(keys)
-
-    def list_page(self, prefix, start_after, limit):
-        self._check(limit)
-        page = self.inner.list_page(prefix, start_after, limit)
-        self._check(len(page))
-        return page
-
-    def close(self):
-        self.inner.close()
-
-
 class CappedBackend:
     """Delegating backend that fails the test on any single key fetch
     larger than the cap — the store-level batch-size assertion."""
@@ -987,8 +860,7 @@ class TestBoundedIterationAt50k:
             backend.put_entry_many(chunk)
 
     def test_sqlite_stats_merge_gc_stay_bounded(self, tmp_path):
-        transport = CappedTransport(MemoryTransport(), self.CAP)
-        bucket_store = ObjectStore(transport, prefix="repro")
+        destination = CappedBackend(LocalDirStore(tmp_path / "merged"), self.CAP)
         pack = SqlitePackStore(tmp_path / "big.sqlite")
         self.fill(pack)
 
@@ -998,20 +870,21 @@ class TestBoundedIterationAt50k:
         assert stats.reclaimable_entries == 0
 
         # merge streams cursored pages through both capped wrappers.
-        report = merge_stores(bucket_store, source)
+        report = merge_stores(destination, source)
         assert report.copied == self.N
         assert source.pages >= self.N // DEFAULT_KEY_BATCH
 
-        # Object-store maintenance paths observe the transport cap.
-        assert bucket_store.stats().entries == self.N
-        gc_report = bucket_store.gc(max_bytes=0)
+        # The directory store's stats and gc walk one shard directory
+        # at a time and fetch no key batches; both see every entry.
+        assert destination.stats().entries == self.N
+        gc_report = destination.gc(max_bytes=0)
         assert gc_report.removed_entries == self.N
 
         # SQLite gc pages internally; the pack still empties fully.
         pack_report = pack.gc(max_bytes=0)
         assert pack_report.removed_entries == self.N
         assert pack.stats().entries == 0
-        assert transport.max_seen <= self.CAP
+        assert destination.max_seen <= self.CAP
         assert source.max_seen <= self.CAP
 
 
